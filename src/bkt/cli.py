@@ -30,14 +30,7 @@ from .robustness import (
     worst_perturbation_witness,
 )
 from .solvers import SolveRequest, solve
-from .winprob import win_probabilities, wp_by_outcome_enumeration
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("BKT_JOBS", "1")))
-    except ValueError:
-        return 1
+from .winprob import _check_player, win_probabilities, wp_by_outcome_enumeration
 
 
 def _load(path: str, taken: set) -> tuple[object, str, str]:
@@ -129,6 +122,8 @@ def _cmd_winprob(args) -> int:
     taken, inputs, warnings = set(), {}, []
     m = _load_matrix(args.matrix, taken, inputs)
     d = _load_draw(args.draw, taken, inputs, warnings)
+    if args.player is not None:
+        _check_player(m, args.player)
     wps = win_probabilities(m, d)
     result = {"leaves": list(d.leaves), "wps": [float(x) for x in wps]}
     lines = [f"draw: {' '.join(map(str, d.leaves))}"]
@@ -196,7 +191,7 @@ def _cmd_solve(args) -> int:
         s=getattr(args, "s", None),
         mode="heuristic" if args.heuristic else "auto",
     )
-    res = solve(req, jobs=args.jobs, restarts=args.restarts, seed=args.seed)
+    res = solve(req, restarts=args.restarts, seed=args.seed)
     if not res.answer and not res.exact:
         warnings.append("heuristic search found no witness; the answer is inconclusive")
     lines = [f"answer: {res.verdict}"]
@@ -321,8 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="force the local search even on small instances")
         sp.add_argument("--restarts", type=int, default=10)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help="parallel workers for the exact scan (env BKT_JOBS)")
         sp.set_defaults(func=_cmd_solve)
 
     orc = sub.add_parser("oracle", help="independent brute-force cross-checks")
@@ -356,7 +349,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     args.invocation = argv
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: send the interpreter's final flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (BktError, OverflowError, OSError) as e:
         print(json.dumps({"error": {"kind": type(e).__name__, "message": str(e)}}))
         return 2

@@ -26,10 +26,12 @@ from .errors import (
 )
 from .matrix import ComparisonMatrix, validate_matrix
 from .winprob import (
-    _TreeEvaluator,
     _as_draw,
     _check_dims,
-    _win_probabilities_stack,
+    _check_player,
+    _leaf_order,
+    _reach,
+    _reach_adjoint,
     win_probabilities,
 )
 
@@ -109,29 +111,32 @@ def _clipped(alpha: float, p: float) -> float:
 def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     """Slopes alpha, intercepts beta and the drop coefficient for one draw.
 
-    Each alpha is obtained from two evaluations of wp with the pair entry
-    forced to 0 and to 1; multilinearity makes that exact.  The sum runs
+    One forward pass of the reach kernel and one adjoint pass give every
+    pair's slope alpha at once (wp is affine in each pair's entry, so the
+    derivative is the exact slope); beta = wp - alpha * p.  The sum runs
     over unordered pairs {i, j} in lexicographic order.
     """
     d = _as_draw(d)
     _check_dims(m, d)
-    ev = _TreeEvaluator(m, canonicalize(d).leaves)
-    base = float(ev.root_by_player()[player - 1])
-    pairs = []
-    total = 0.0
-    for i, j in itertools.combinations(range(1, m.size + 1), 2):
-        lo = ev.wp_with_pair(i, j, 0.0, player)
-        hi = ev.wp_with_pair(i, j, 1.0, player)
-        alpha = hi - lo
-        p = float(m.probs[i - 1, j - 1])
-        contribution = _clipped(alpha, p)
-        pairs.append(PairSensitivity(i, j, alpha, lo, p, contribution))
-        total += contribution
+    _check_player(m, player)
+    perm, pq = _leaf_order(m.probs[None], canonicalize(d).leaves)
+    levels = _reach(pq)
+    pos = np.argsort(perm)  # leaf of each player
+    leaf = int(pos[player - 1])
+    base = float(levels[-1][0, leaf])
+    rows, cols = np.triu_indices(m.size, 1)
+    alphas = _reach_adjoint(pq, levels, leaf)[pos[rows], pos[cols]]
+    ps = m.probs[rows, cols]
+    betas = (base - alphas * ps).tolist()
+    alphas, ps = alphas.tolist(), ps.tolist()
+    contributions = list(map(_clipped, alphas, ps))
+    pairs = map(PairSensitivity._make,
+                zip((rows + 1).tolist(), (cols + 1).tolist(), alphas, betas, ps, contributions))
     return SensitivityReport(
         player=player,
         wp=base,
         pairs=tuple(pairs),
-        drop_coefficient=total,
+        drop_coefficient=sum(contributions),
         validity_bound=m.xi,
     )
 
@@ -158,7 +163,7 @@ class DropEstimate:
 
 def drop_estimate(report: SensitivityReport, eps: float) -> DropEstimate:
     """First-order estimate of the eps-adversary's damage."""
-    if eps <= 0.0:
+    if not eps > 0.0:  # also rejects NaN
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
     drop = report.drop_coefficient * eps
     raw = report.wp - drop
@@ -199,7 +204,7 @@ def worst_perturbation_witness(
     Requires eps <= xi(P) so no entry leaves [0, 1].  The result realizes
     the first-order drop up to O(eps^2).
     """
-    if eps <= 0.0:
+    if not eps > 0.0:  # also rejects NaN
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
     if eps > m.xi:
         raise EpsilonTooLarge(f"eps {eps} exceeds the validity bound xi = {m.xi}")
@@ -280,6 +285,7 @@ def crucial_matches(m: ComparisonMatrix, d, player: int) -> CrucialMatchReport:
     """
     d = _as_draw(d)
     _check_dims(m, d)
+    _check_player(m, player)
     levels = _require_winner(m, d, player)
     probs = m.probs
     rounds = d.rounds
@@ -318,6 +324,7 @@ def crucial_matches_oracle(m: ComparisonMatrix, d, player: int) -> CrucialMatchR
     """Naive O(N^2) check: replay the whole bracket once per flipped match."""
     d = _as_draw(d)
     _check_dims(m, d)
+    _check_player(m, player)
     if m.size > 64:
         raise ScaleError("the replay oracle is limited to 64 players")
     levels = _require_winner(m, d, player)
@@ -349,7 +356,8 @@ def exact_worst_drop_oracle(
     """
     d = _as_draw(d)
     _check_dims(m, d)
-    if eps <= 0.0:
+    _check_player(m, player)
+    if not eps > 0.0:  # also rejects NaN
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
     pair_list = list(itertools.combinations(range(1, m.size + 1), 2))
     if len(pair_list) > CORNER_ORACLE_PAIR_LIMIT and not allow_large:
@@ -361,6 +369,7 @@ def exact_worst_drop_oracle(
         _corner_candidates(float(m.probs[i - 1, j - 1]), eps) for i, j in pair_list
     ]
     leaves = canonicalize(d).leaves
+    leaf = leaves.index(player)
     base_wp = float(win_probabilities(m, d)[player - 1])
     best_wp = None
     best_matrix = None
@@ -374,7 +383,7 @@ def exact_worst_drop_oracle(
             col = np.array([c[k] for c in chunk])
             stack[:, i - 1, j - 1] = col
             stack[:, j - 1, i - 1] = 1.0 - col
-        wps = _win_probabilities_stack(stack, leaves)[:, player - 1]
+        wps = _reach(_leaf_order(stack, leaves)[1])[-1][:, leaf]
         k = int(np.argmin(wps))
         if best_wp is None or wps[k] < best_wp:
             best_wp = float(wps[k])

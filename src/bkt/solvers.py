@@ -9,21 +9,20 @@ fall back to a restarted local search over block swaps.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import Draw, canonicalize, count_draws, enumerate_draws
+from .draws import Draw, canonicalize, enumerate_draws
 from .errors import (
     NoWinningDraw,
     NotDeterministic,
     ParameterError,
     ScaleError,
 )
-from .matrix import ComparisonMatrix, validate_matrix
+from .matrix import ComparisonMatrix
 from .robustness import _winner_levels, sensitivity
-from .winprob import win_probabilities, winner
+from .winprob import _check_player, win_probabilities, winner
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
 _WP_ATOL = 1e-9
@@ -49,18 +48,16 @@ class SolveRequest:
             )
         if self.mode not in ("auto", "exact", "heuristic"):
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.player, int) or not 1 <= self.player <= self.matrix.size:
-            raise ParameterError(
-                f"player must be an integer in 1..{self.matrix.size}, got {self.player!r}"
-            )
+        _check_player(self.matrix, self.player)
         if self.problem in ("TFP", "RTFP") and not self.matrix.deterministic:
             raise NotDeterministic(f"{self.problem} requires a 0/1 matrix")
         if self.problem in ("PTFP", "RPTFP"):
             if self.q is None or not 0.0 <= self.q <= 1.0:
                 raise ParameterError(f"{self.problem} needs a threshold q in [0, 1]")
-        if self.problem == "RTFP" and (self.c is None or self.c < 0.0):
+        # "not >=" also rejects NaN, which would make every comparison fail
+        if self.problem == "RTFP" and (self.c is None or not self.c >= 0.0):
             raise ParameterError("RTFP needs a nonnegative drop bound c")
-        if self.problem == "RPTFP" and (self.s is None or self.s < 0.0):
+        if self.problem == "RPTFP" and (self.s is None or not self.s >= 0.0):
             raise ParameterError("RPTFP needs a nonnegative drop bound s")
 
     @property
@@ -127,15 +124,12 @@ def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> N
             raise RuntimeError("witness fails re-verification of its drop coefficient")
 
 
-def _solve_exact(req: SolveRequest, jobs: int) -> SolveResult:
+def _solve_exact(req: SolveRequest) -> SolveResult:
     m = req.matrix
     if m.size > EXACT_LIMIT:
         raise ScaleError(
             f"exact scan is limited to {EXACT_LIMIT} players; use the heuristic"
         )
-    total = count_draws(m.n)
-    if jobs > 1:
-        return _solve_exact_parallel(req, jobs, total)
     examined = 0
     for d in enumerate_draws(m.n):
         examined += 1
@@ -143,38 +137,7 @@ def _solve_exact(req: SolveRequest, jobs: int) -> SolveResult:
         if ok:
             _verify_witness(req, d, wp, s)
             return SolveResult(True, d, wp, s, examined, True)
-    return SolveResult(False, None, None, None, total, True)
-
-
-def _scan_chunk(args):
-    probs, leaves_list, problem, player, q, c, s = args
-    req = SolveRequest(
-        problem=problem, matrix=validate_matrix(probs), player=player, q=q, c=c, s=s
-    )
-    for k, leaves in enumerate(leaves_list):
-        ok, wp, drop = _evaluate(req, Draw(leaves))
-        if ok:
-            return k, leaves, wp, drop
-    return None
-
-
-def _solve_exact_parallel(req: SolveRequest, jobs: int, total: int) -> SolveResult:
-    draws = [d.leaves for d in enumerate_draws(req.matrix.n)]
-    jobs = min(jobs, len(draws))
-    bounds = np.linspace(0, len(draws), jobs + 1).astype(int)
-    tasks = [
-        (req.matrix.probs, draws[lo:hi], req.problem, req.player, req.q, req.c, req.s)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for hit in pool.map(_scan_chunk, tasks):
-            if hit is not None:
-                _, leaves, wp, drop = hit
-                d = Draw(leaves)
-                _verify_witness(req, d, wp, drop)
-                return SolveResult(True, d, wp, drop, total, True)
-    return SolveResult(False, None, None, None, total, True)
+    return SolveResult(False, None, None, None, examined, True)
 
 
 def _rounds_survived(req: SolveRequest, d: Draw) -> int:
@@ -259,7 +222,7 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
     return SolveResult(False, None, None, None, len(cache), False)
 
 
-def solve(req: SolveRequest, *, jobs: int = 1, restarts: int = 10, seed: int = 0) -> SolveResult:
+def solve(req: SolveRequest, *, restarts: int = 10, seed: int = 0) -> SolveResult:
     """Decide the requested fixing problem, or search for a witness.
 
     Exact mode scans every canonical draw (small instances only) and its
@@ -270,7 +233,7 @@ def solve(req: SolveRequest, *, jobs: int = 1, restarts: int = 10, seed: int = 0
     if mode == "auto":
         mode = "exact" if req.matrix.size <= EXACT_LIMIT else "heuristic"
     if mode == "exact":
-        return _solve_exact(req, max(1, jobs))
+        return _solve_exact(req)
     return _solve_heuristic(req, restarts, seed)
 
 
@@ -279,6 +242,7 @@ def best_draw(m: ComparisonMatrix, player: int) -> tuple[Draw, float]:
 
     Exhaustive; ties keep the lexicographically first maximizer.
     """
+    _check_player(m, player)
     if m.size > EXACT_LIMIT:
         raise ScaleError(f"best_draw is limited to {EXACT_LIMIT} players")
     best = None
@@ -311,8 +275,9 @@ def enumerate_delta_optimal(
 
     Sorted by ascending drop coefficient, then descending wp, then leaves.
     """
-    if delta < 0.0:
+    if not delta >= 0.0:  # also rejects NaN
         raise ParameterError(f"delta must be nonnegative, got {delta}")
+    _check_player(m, player)
     if m.size > EXACT_LIMIT:
         raise ScaleError(f"the delta-optimal scan is limited to {EXACT_LIMIT} players")
     draws = list(enumerate_draws(m.n))

@@ -1,9 +1,13 @@
 """Winning probabilities of complete tournaments.
 
-The workhorse is a bottom-up "reach" table over the bracket: for every tree
-node, the probability that each player ends up labelling it.  A separate
-oracle enumerates all 2**(N-1) joint match outcomes instead and exists only
-to cross-check the recursion.
+Everything runs through one private kernel, `_reach`: given a (B, N, N)
+stack of matrices permuted into leaf order, it computes the bottom-up
+"reach" levels (the probability that each leaf's player wins its first k
+rounds), merging all blocks of a level, for all B matrices, at once.
+`_reach_adjoint` is its reverse-mode pass: one backward sweep from a root
+leaf yields the slope of that leaf's winning probability in every pair's
+entry, in O(N^2) for all pairs.  A separate oracle enumerates all 2**(N-1)
+joint match outcomes instead and exists only to cross-check the kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .draws import Draw, canonicalize
-from .errors import DimensionMismatch, NotDeterministic, ScaleError
+from .errors import DimensionMismatch, NotDeterministic, ParameterError, ScaleError
 from .matrix import ComparisonMatrix
 
 # 2**(N-1) outcome combinations; 16 players (32768 rows) is the sane limit.
@@ -29,68 +33,75 @@ def _check_dims(m: ComparisonMatrix, d: Draw) -> None:
         raise DimensionMismatch(f"matrix has {m.size} players, draw has {d.size}")
 
 
-class _TreeEvaluator:
-    """Reach arrays for one bracket, with fast single-pair re-evaluation.
+def _check_player(m: ComparisonMatrix, player) -> None:
+    if isinstance(player, bool) or not isinstance(player, int) or not 1 <= player <= m.size:
+        raise ParameterError(f"player must be an integer in 1..{m.size}, got {player!r}")
 
-    Arrays are kept in leaf order so that every subtree is a contiguous
-    block: levels[k][t] is the probability that the player on leaf t wins
-    their first k rounds.  Changing the entry of one pair only invalidates
-    the merges from the pair's meeting node up to the root, so a two-point
-    re-evaluation costs O(N) instead of O(N^2).
+
+def _leaf_order(stack: np.ndarray, leaves: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, stack permuted into leaf order) for a (B, N, N) stack."""
+    perm = np.asarray(leaves, dtype=np.intp) - 1
+    return perm, stack[:, perm[:, None], perm]
+
+
+def _sibling_sums(pq: np.ndarray, r: np.ndarray, half: int) -> np.ndarray:
+    """s[b, t] = sum of pq[b, t, u] * r[b, u] over u in the sibling half of t.
+
+    Blocks have size 2*half; the diagonal blocks of every stack entry are
+    read through one strided view, so a whole level merges at once.
     """
+    B, N = r.shape
+    nb = N // (2 * half)
+    blocks = np.diagonal(pq.reshape(B, nb, 2 * half, nb, 2 * half), axis1=1, axis2=3)
+    r = r.reshape(B, nb, 2 * half)
+    s = np.empty((B, nb, 2 * half))
+    s[:, :, :half] = np.einsum("bijk,bkj->bki", blocks[:, :half, half:], r[:, :, half:])
+    s[:, :, half:] = np.einsum("bijk,bkj->bki", blocks[:, half:, :half], r[:, :, :half])
+    return s.reshape(B, N)
 
-    def __init__(self, matrix: ComparisonMatrix, leaves: tuple[int, ...]):
-        self.size = len(leaves)
-        self.rounds = self.size.bit_length() - 1
-        self.perm = np.asarray(leaves, dtype=np.intp) - 1
-        self.pos = np.empty(self.size, dtype=np.intp)
-        self.pos[self.perm] = np.arange(self.size)
-        self.pq = matrix.probs[np.ix_(self.perm, self.perm)]  # copy, leaf order
-        self.levels = [np.ones(self.size)]
-        for k in range(self.rounds):
-            self.levels.append(self._merge_level(self.levels[k], k))
 
-    def _merge_level(self, prev: np.ndarray, k: int) -> np.ndarray:
+def _reach(pq: np.ndarray) -> list[np.ndarray]:
+    """Reach levels of a leaf-ordered (B, N, N) stack of matrices.
+
+    levels[k] is (B, N): the probability that the player on leaf t wins
+    their first k rounds.  Every subtree is a contiguous block of leaves, so
+    level k+1 is level k times the sibling-weighted row sums.
+    """
+    B, N = pq.shape[0], pq.shape[1]
+    levels = [np.ones((B, N))]
+    half = 1
+    while half < N:
+        levels.append(levels[-1] * _sibling_sums(pq, levels[-1], half))
+        half *= 2
+    return levels
+
+
+def _reach_adjoint(pq: np.ndarray, levels: list[np.ndarray], leaf: int) -> np.ndarray:
+    """Slopes of the root reach of `leaf` for one leaf-ordered (1, N, N) matrix.
+
+    Returns the antisymmetric (N, N) matrix alpha with alpha[a, b] the
+    derivative of wp along pq[a, b] = p, pq[b, a] = 1 - p.  Reverse mode:
+    the adjoint bar of each level starts as e_leaf at the root; a pair
+    first meeting at level k+1 has slope r_k(a) r_k(b) (bar_{k+1}(a) -
+    bar_{k+1}(b)), and bar_k = bar_{k+1} * s_k + (sibling sums of
+    bar_{k+1} * r_k through the transposed matrix).
+    """
+    N = pq.shape[1]
+    pq_t = np.ascontiguousarray(pq.transpose(0, 2, 1))
+    bar = np.zeros((1, N))
+    bar[0, leaf] = 1.0
+    upper = np.zeros((N, N))
+    for k in range(len(levels) - 2, -1, -1):
         half = 1 << k
-        out = np.empty(self.size)
-        for lo in range(0, self.size, 2 * half):
-            mid, hi = lo + half, lo + 2 * half
-            left, right = prev[lo:mid], prev[mid:hi]
-            out[lo:mid] = left * (self.pq[lo:mid, mid:hi] @ right)
-            out[mid:hi] = right * (self.pq[mid:hi, lo:mid] @ left)
-        return out
-
-    def root_by_player(self) -> np.ndarray:
-        out = np.empty(self.size)
-        out[self.perm] = self.levels[-1]
-        return out
-
-    def wp_with_pair(self, a: int, b: int, p: float, player: int) -> float:
-        """Root probability of `player` after setting P[a,b]=p, P[b,a]=1-p."""
-        pa, pb = int(self.pos[a - 1]), int(self.pos[b - 1])
-        keep_ab, keep_ba = self.pq[pa, pb], self.pq[pb, pa]
-        self.pq[pa, pb], self.pq[pb, pa] = p, 1.0 - p
-        try:
-            cur = None
-            meet = (pa ^ pb).bit_length()  # level at which the pair can first play
-            for k in range(meet, self.rounds + 1):
-                half = 1 << (k - 1)
-                lo = (pa >> k) << k
-                mid, hi = lo + half, lo + 2 * half
-                prev = self.levels[k - 1]
-                left, right = prev[lo:mid], prev[mid:hi]
-                if cur is not None:
-                    if pa < mid:
-                        left = cur
-                    else:
-                        right = cur
-                nxt = np.empty(2 * half)
-                nxt[:half] = left * (self.pq[lo:mid, mid:hi] @ right)
-                nxt[half:] = right * (self.pq[mid:hi, lo:mid] @ left)
-                cur = nxt
-            return float(cur[self.pos[player - 1]])
-        finally:
-            self.pq[pa, pb], self.pq[pb, pa] = keep_ab, keep_ba
+        nb = N // (2 * half)
+        r = levels[k]
+        rb, bb = r.reshape(nb, 2 * half), bar.reshape(nb, 2 * half)
+        blk = np.arange(nb)
+        upper.reshape(nb, 2 * half, nb, 2 * half)[blk, :half, blk, half:] = (
+            rb[:, :half, None] * rb[:, None, half:] * (bb[:, :half, None] - bb[:, None, half:])
+        )
+        bar = bar * _sibling_sums(pq, r, half) + _sibling_sums(pq_t, bar * r, half)
+    return upper - upper.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +138,17 @@ class ReachTable:
         return out
 
 
+def _levels(m: ComparisonMatrix, leaves: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    perm, pq = _leaf_order(m.probs[None], leaves)
+    return perm, _reach(pq)
+
+
 def reach_table(m: ComparisonMatrix, d) -> ReachTable:
     """Full reach table of C(P, d), keeping d's literal tree layout."""
     d = _as_draw(d)
     _check_dims(m, d)
-    ev = _TreeEvaluator(m, d.leaves)
-    return ReachTable(leaves=d.leaves, levels=tuple(ev.levels))
+    _, levels = _levels(m, d.leaves)
+    return ReachTable(leaves=d.leaves, levels=tuple(level[0] for level in levels))
 
 
 def win_probabilities(m: ComparisonMatrix, d) -> np.ndarray:
@@ -143,8 +159,10 @@ def win_probabilities(m: ComparisonMatrix, d) -> np.ndarray:
     """
     d = _as_draw(d)
     _check_dims(m, d)
-    ev = _TreeEvaluator(m, canonicalize(d).leaves)
-    return ev.root_by_player()
+    perm, levels = _levels(m, canonicalize(d).leaves)
+    out = np.empty(m.size)
+    out[perm] = levels[-1][0]
+    return out
 
 
 def winner(m: ComparisonMatrix, d) -> int:
@@ -195,27 +213,5 @@ def outcome_win_distribution(m: ComparisonMatrix, d) -> np.ndarray:
 
 def wp_by_outcome_enumeration(m: ComparisonMatrix, d, player: int) -> float:
     """Winning probability of one player by brute-force outcome enumeration."""
+    _check_player(m, player)
     return float(outcome_win_distribution(m, d)[player - 1])
-
-
-def _win_probabilities_stack(stack: np.ndarray, leaves: tuple[int, ...]) -> np.ndarray:
-    """Reach recursion for a (B, N, N) stack of matrices sharing one draw.
-
-    Returns a (B, N) array of winning probabilities in player order.
-    """
-    B, N = stack.shape[0], stack.shape[1]
-    perm = np.asarray(leaves, dtype=np.intp) - 1
-    pq = stack[:, perm][:, :, perm]
-    reach = np.ones((B, N))
-    half = 1
-    while half < N:
-        for lo in range(0, N, 2 * half):
-            mid, hi = lo + half, lo + 2 * half
-            left = reach[:, lo:mid].copy()
-            right = reach[:, mid:hi].copy()
-            reach[:, lo:mid] = left * np.einsum("bij,bj->bi", pq[:, lo:mid, mid:hi], right)
-            reach[:, mid:hi] = right * np.einsum("bij,bj->bi", pq[:, mid:hi, lo:mid], left)
-        half *= 2
-    out = np.empty((B, N))
-    out[:, perm] = reach
-    return out

@@ -60,3 +60,51 @@ def scramble(rng, leaves):
                 out[start:start + 2 * width] = right + left
         width *= 2
     return tuple(out)
+
+
+def _stack_win_probabilities(stack, leaves):
+    """Winning probabilities for a (B, N, N) stack sharing one draw, by the
+    textbook block-by-block reach recursion; (B, N) in player order."""
+    B, N = stack.shape[0], stack.shape[1]
+    perm = np.asarray(leaves, dtype=np.intp) - 1
+    pq = stack[:, perm][:, :, perm]
+    reach = np.ones((B, N))
+    half = 1
+    while half < N:
+        nxt = np.empty((B, N))
+        for lo in range(0, N, 2 * half):
+            mid, hi = lo + half, lo + 2 * half
+            left, right = reach[:, lo:mid], reach[:, mid:hi]
+            nxt[:, lo:mid] = left * np.einsum("bij,bj->bi", pq[:, lo:mid, mid:hi], right)
+            nxt[:, mid:hi] = right * np.einsum("bij,bj->bi", pq[:, mid:hi, lo:mid], left)
+        reach = nxt
+        half *= 2
+    out = np.empty((B, N))
+    out[:, perm] = reach
+    return out
+
+
+def two_point_slopes(m, d, player):
+    """Per-pair slope and intercept of the player's wp by two evaluations.
+
+    wp is affine in each pair's entry, so forcing P[i,j] to 1 and to 0 gives
+    the slope alpha = wp(1) - wp(0) and the intercept beta = wp(0) exactly.
+    Returns (pairs, alphas, betas) over the pairs i < j in lexicographic
+    order, independently of the adjoint pass under test.
+    """
+    rows, cols = np.triu_indices(m.size, 1)
+    chunk = 256  # matrices per evaluated stack
+    ends = []
+    for value in (1.0, 0.0):
+        wps = []
+        for lo in range(0, len(rows), chunk):
+            i, j = rows[lo:lo + chunk], cols[lo:lo + chunk]
+            stack = np.repeat(m.probs[None], len(i), axis=0)
+            k = np.arange(len(i))
+            stack[k, i, j] = value
+            stack[k, j, i] = 1.0 - value
+            wps.append(_stack_win_probabilities(stack, d)[:, player - 1])
+        ends.append(np.concatenate(wps))
+    hi, lo = ends
+    pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
+    return pairs, hi - lo, lo

@@ -1,5 +1,7 @@
+import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bkt import gen_hard, gen_unbalanced, uniform_perturbation, validate_matrix
 from bkt.cli import main
@@ -245,20 +249,50 @@ def test_solve_heuristic_not_found_warns(capsys, tmp_path):
     assert any("inconclusive" in w for w in doc["warnings"])
 
 
-def test_solve_jobs_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("BKT_JOBS", "3")
+def test_solve_rejects_nan_bounds(capsys, tmp_path):
+    # a NaN bound fails every comparison: it must not become a proven "no"
     src = write_json(tmp_path / "u3.json", gen_unbalanced(3).to_json_dict())
-    code, doc = run_json(capsys, "solve", "rtfp", "--matrix", src,
-                         "--player", "1", "--c", "3")
-    assert code == 0
-    # the parallel scan sweeps the whole space instead of stopping early
-    assert doc["result"]["draws_examined"] == 315
-    assert doc["result"]["witness"] == [1, 2, 3, 5, 4, 6, 7, 8]
+    for argv in (["rtfp", "--c", "nan"], ["rptfp", "--q", "0.5", "--s", "nan"]):
+        code, doc = run_json(capsys, "solve", argv[0], "--matrix", src,
+                             "--player", "1", *argv[1:])
+        assert code == 2
+        assert doc["error"]["kind"] == "ParameterError"
 
 
 def test_solve_requires_problem_parameters(capsys, hard2):
     with pytest.raises(SystemExit):
         main(["solve", "rtfp", "--matrix", hard2, "--player", "1"])
+
+
+def test_drop_rejects_nan_eps(capsys, hard2, ident4):
+    code, doc = run_json(capsys, "drop", "--matrix", hard2, "--draw", ident4,
+                         "--player", "1", "--eps", "nan")
+    assert code == 2
+    assert doc["error"]["kind"] == "NonpositiveEpsilon"
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(player=st.one_of(st.integers(max_value=0), st.integers(min_value=5)),
+       cmd=st.sampled_from([["winprob"], ["drop"], ["crucial"], ["oracle", "wp"],
+                            ["oracle", "drop", "--eps", "0.1"]]))
+def test_player_out_of_range_is_a_json_error(hard2, ident4, player, cmd):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*cmd, "--matrix", hard2, "--draw", ident4, "--player", str(player)])
+    assert code == 2
+    assert json.loads(out.getvalue())["error"]["kind"] == "ParameterError"
+
+
+def test_closed_stdout_exits_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "bkt.cli", "gen", "hard", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.read(16)
+    proc.stdout.close()  # like `| head -c 16`: the reader leaves early
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------- oracle

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkt import (
     DECREASE,
@@ -9,6 +11,7 @@ from bkt import (
     NonpositiveEpsilon,
     NotDeterministic,
     NotWinner,
+    ParameterError,
     ScaleError,
     crucial_matches,
     crucial_matches_oracle,
@@ -23,7 +26,7 @@ from bkt import (
     winner,
     worst_perturbation_witness,
 )
-from helpers import random_deterministic, random_matrix
+from helpers import random_deterministic, random_matrix, two_point_slopes
 
 
 def all_even(size):
@@ -89,18 +92,50 @@ def test_negative_slope_at_zero_counts_via_increase():
     assert rep.drop_coefficient == pytest.approx(3.0)
 
 
-def test_slopes_match_two_point_evaluation():
-    rng = np.random.default_rng(40)
-    m = random_matrix(rng, 8)
-    d = tuple(rng.permutation(8) + 1)
-    rep = sensitivity(m, d, 3)
-    for (i, j), alpha in rep.alphas.items():
-        hi = float(win_probabilities(m.with_entry(i, j, 1.0), d)[2])
-        lo = float(win_probabilities(m.with_entry(i, j, 0.0), d)[2])
-        assert alpha == pytest.approx(hi - lo, abs=1e-12)
-        # affine decomposition: wp = alpha * p + beta
-        p = m.probability(i, j)
-        assert rep.wp == pytest.approx(alpha * p + rep.betas[i, j], abs=1e-12)
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 64])
+@pytest.mark.parametrize("kind", ["random", "coin", "hard"])
+def test_slopes_match_two_point_evaluation(size, kind):
+    rng = np.random.default_rng(40 + size)
+    if kind == "random":
+        m = random_matrix(rng, size)
+    elif kind == "coin":
+        m = random_deterministic(rng, size)
+    else:
+        m = gen_hard(size.bit_length() - 1)
+    for _ in range(2):
+        d = tuple(int(x) + 1 for x in rng.permutation(size))
+        for player in sorted({1, size, int(rng.integers(1, size + 1))}):
+            rep = sensitivity(m, d, player)
+            pairs, alphas, betas = two_point_slopes(m, d, player)
+            assert [(ps.i, ps.j) for ps in rep.pairs] == pairs
+            got_a = np.array([ps.alpha for ps in rep.pairs])
+            got_b = np.array([ps.beta for ps in rep.pairs])
+            if m.deterministic:
+                assert np.array_equal(got_a, alphas)
+                assert np.array_equal(got_b, betas)
+            else:
+                assert np.abs(got_a - alphas).max() <= 1e-12
+                assert np.abs(got_b - betas).max() <= 1e-12
+            # affine decomposition: wp = alpha * p + beta
+            ps = np.array([ps.p for ps in rep.pairs])
+            assert np.abs(got_a * ps + got_b - rep.wp).max() <= 1e-12
+
+
+BAD_PLAYER_4 = st.one_of(st.integers(max_value=0), st.integers(min_value=5), st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(BAD_PLAYER_4)
+def test_sensitivity_rejects_bad_player(player):
+    with pytest.raises(ParameterError):
+        sensitivity(all_even(4), (1, 2, 3, 4), player)
+
+
+@settings(max_examples=30, deadline=None)
+@given(BAD_PLAYER_4)
+def test_crucial_matches_rejects_bad_player(player):
+    with pytest.raises(ParameterError):
+        crucial_matches(gen_hard(2), (1, 2, 3, 4), player)
 
 
 def test_contribution_clipping_rule():
@@ -158,7 +193,7 @@ def test_drop_estimate_flags_validity():
 
 def test_drop_estimate_rejects_nonpositive_epsilon():
     rep = sensitivity(all_even(4), (1, 2, 3, 4), 1)
-    for eps in (0.0, -0.1):
+    for eps in (0.0, -0.1, float("nan")):
         with pytest.raises(NonpositiveEpsilon):
             drop_estimate(rep, eps)
 
@@ -221,8 +256,9 @@ def test_witness_respects_validity_bound():
     rep = sensitivity(m, (1, 2, 3, 4), 1)
     with pytest.raises(EpsilonTooLarge):
         worst_perturbation_witness(rep, m, 0.51)
-    with pytest.raises(NonpositiveEpsilon):
-        worst_perturbation_witness(rep, m, 0.0)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(NonpositiveEpsilon):
+            worst_perturbation_witness(rep, m, eps)
 
 
 def test_witness_never_helps_the_player():
@@ -293,8 +329,9 @@ def test_exact_oracle_pair_guard():
 
 
 def test_exact_oracle_rejects_nonpositive_epsilon():
-    with pytest.raises(NonpositiveEpsilon):
-        exact_worst_drop_oracle(all_even(4), (1, 2, 3, 4), 1, 0.0)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(NonpositiveEpsilon):
+            exact_worst_drop_oracle(all_even(4), (1, 2, 3, 4), 1, eps)
 
 
 # ------------------------------------------------------------ crucial matches

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkt import (
     DimensionMismatch,
     NotDeterministic,
+    ParameterError,
     ScaleError,
     canonicalize,
     enumerate_draws,
@@ -15,7 +18,8 @@ from bkt import (
     winner,
     wp_by_outcome_enumeration,
 )
-from helpers import random_matrix, scramble
+from bkt.winprob import _leaf_order, _reach
+from helpers import random_deterministic, random_matrix, scramble
 
 
 def all_even(size):
@@ -125,6 +129,27 @@ def test_outcome_enumeration_matches_recursion():
             fast = win_probabilities(m, d)
             slow = outcome_win_distribution(m, d)
             assert np.allclose(fast, slow, atol=1e-9)
+
+
+def test_kernel_batch_matches_outcome_enumeration():
+    # one (B, N, N) stack through the kernel, each row checked on its own
+    rng = np.random.default_rng(35)
+    for size in (2, 4, 8):
+        ms = [random_matrix(rng, size) for _ in range(4)]
+        ms += [random_deterministic(rng, size) for _ in range(2)]
+        d = tuple(int(x) + 1 for x in rng.permutation(size))
+        perm, pq = _leaf_order(np.stack([m.probs for m in ms]), d)
+        levels = _reach(pq)
+        assert [lv.shape for lv in levels] == [(len(ms), size)] * size.bit_length()
+        for row, m in zip(levels[-1], ms):
+            assert np.allclose(row, outcome_win_distribution(m, d)[perm], atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(max_value=0), st.integers(min_value=5), st.booleans()))
+def test_outcome_enumeration_rejects_bad_player(player):
+    with pytest.raises(ParameterError):
+        wp_by_outcome_enumeration(all_even(4), (1, 2, 3, 4), player)
 
 
 def test_outcome_enumeration_guard():
