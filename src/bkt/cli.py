@@ -67,8 +67,41 @@ def _load_draw(path: str, taken: set, inputs: dict, warnings: list) -> Draw:
     return d
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _key(k) -> str:
+    # the encoder's own rules for keys (str, int, float, bool or None), quoted
+    return json.dumps({k: 0})[1:-4]
+
+
+def _dumps(obj, depth: int = 0) -> str:
+    """The text of json.dumps(obj, indent=2), through the C encoder.
+
+    With an indent the json module encodes one value per Python call.  A
+    container whose members are all plain scalars is encoded here in one
+    compact call whose item separator carries the indentation; only its
+    brackets are re-indented.  Deeper containers are walked.
+    """
+    is_dict = isinstance(obj, dict)
+    if not is_dict and not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    brackets = "{}" if is_dict else "[]"
+    if not obj:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
+        body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(f"{_key(k)}: {_dumps(v, depth + 1)}" for k, v in obj.items())
+    else:
+        body = ("," + inner).join(_dumps(v, depth + 1) for v in obj)
+    return brackets[0] + inner + body + outer + brackets[1]
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
 
 
 def _print_matrix(m: ComparisonMatrix, pretty: bool) -> None:
@@ -344,6 +377,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _print_error(kind: str, message: str) -> int:
+    print(json.dumps({"error": {"kind": kind, "message": message}}))
+    return 2
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
@@ -356,9 +394,10 @@ def main(argv=None) -> int:
         # the reader went away: send the interpreter's final flush nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
+    except MemoryError as e:  # numpy raises a private subclass; name the base
+        return _print_error("MemoryError", str(e) or "out of memory")
     except (BktError, OverflowError, OSError) as e:
-        print(json.dumps({"error": {"kind": type(e).__name__, "message": str(e)}}))
-        return 2
+        return _print_error(type(e).__name__, str(e))
 
 
 if __name__ == "__main__":

@@ -113,12 +113,21 @@ def enumerate_draws(n: int, *, allow_large: bool = False) -> Iterator[Draw]:
 def _pair_stream(left: tuple[int, ...], right: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # The lex-first canonical sequence over a label set is its sorted order,
     # so the head of every stream is free.  The recursive product behind it
-    # is built only when the merge advances this stream past its head; that
-    # keeps initializing the 16-player merge (6435 streams) cheap.
+    # is built only when the merge advances this stream past its head.
     yield tuple(sorted(left)) + tuple(sorted(right))
     rest = (a + b for a in _canonical_sequences(left) for b in _canonical_sequences(right))
     next(rest)
     yield from rest
+
+
+def _pop(heap: list) -> tuple[int, ...]:
+    seq, k, stream = heap[0]
+    nxt = next(stream, None)
+    if nxt is None:
+        heapq.heappop(heap)
+    else:
+        heapq.heapreplace(heap, (nxt, k, stream))
+    return seq
 
 
 def _canonical_sequences(players: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -126,17 +135,23 @@ def _canonical_sequences(players: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
     The half containing the minimum label comes first, so the choice of the
     rest of that half determines the class exactly once.  Each per-choice
-    stream is itself sorted, and a heap merge keeps the global order.
+    stream is itself sorted and starts at its head, and the heads rise in
+    combination order.  So a stream joins the heap merge only once every
+    pending sequence below its head has been yielded: the first sequence
+    comes out without building all C(N-1, N/2-1) streams.
     """
     if len(players) == 1:
         yield players
         return
     half = len(players) // 2
     lead, *rest = sorted(players)
-    streams = []
-    for extra in itertools.combinations(rest, half - 1):
+    heap = []  # (next sequence, stream number, stream)
+    for k, extra in enumerate(itertools.combinations(rest, half - 1)):
         chosen = set(extra)
-        left = (lead, *extra)
-        right = tuple(x for x in rest if x not in chosen)
-        streams.append(_pair_stream(left, right))
-    yield from heapq.merge(*streams)
+        stream = _pair_stream((lead, *extra), tuple(x for x in rest if x not in chosen))
+        head = next(stream)
+        while heap and heap[0][0] < head:
+            yield _pop(heap)
+        heapq.heappush(heap, (head, k, stream))
+    while heap:
+        yield _pop(heap)

@@ -21,35 +21,16 @@ def gen_hard(n: int) -> ComparisonMatrix:
     Built by n doubling steps: every player spawns a new one seated to its
     right.  A spawned player beats everyone to its left except its spawner,
     and loses to everything on its right.  Player numbering follows final
-    seating order.
+    seating order, in which the player at 0-based seat q >= 1 was spawned
+    by the one at seat q - (q & -q).
     """
     _check_n(n)
-    players = [0]  # working ids in seating order
-    spawner = {0: None}
-    nxt = 1
-    for _ in range(n):
-        seated = []
-        for p in players:
-            spawner[nxt] = p
-            seated += [p, nxt]
-            nxt += 1
-        players = seated
-    size = len(players)
-    rank = {p: k for k, p in enumerate(players)}  # final 0-based position
-    arr = np.zeros((size, size))
-    for p in players:
-        for q in players:
-            if p == q:
-                continue
-            # default: the right-seated player wins; spawners beat their spawn
-            left_wins = rank[p] < rank[q]
-            if spawner.get(q) == p:
-                winner_is_p = True
-            elif spawner.get(p) == q:
-                winner_is_p = False
-            else:
-                winner_is_p = not left_wins
-            arr[rank[p], rank[q]] = 1.0 if winner_is_p else 0.0
+    size = 1 << n
+    arr = np.tri(size, k=-1)  # the right-seated player wins by default
+    spawn = np.arange(1, size)
+    spawner = spawn - (spawn & -spawn)
+    arr[spawner, spawn] = 1.0
+    arr[spawn, spawner] = 0.0
     return validate_matrix(arr)
 
 

@@ -53,10 +53,9 @@ class ComparisonMatrix:
 
     def to_json_dict(self) -> dict:
         """Serializable form {"n": ..., "matrix": [...]} with a null diagonal."""
-        rows = [
-            [None if i == j else float(self.probs[i, j]) for j in range(self.size)]
-            for i in range(self.size)
-        ]
+        rows = self.probs.tolist()
+        for i, row in enumerate(rows):
+            row[i] = None
         return {"n": self.n, "matrix": rows}
 
 
@@ -68,14 +67,25 @@ def _to_float(v) -> float:
         return np.nan
 
 
+def _coerce_cells(raw) -> np.ndarray:
+    try:
+        return np.array([[_to_float(v) for v in row] for row in raw], dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionError("matrix must be a rectangular table of numbers") from None
+
+
 def _coerce(raw) -> np.ndarray:
     if isinstance(raw, np.ndarray) and raw.dtype != object:
         arr = raw.astype(float, copy=True)
     else:
+        # One call converts a well-formed table (None becomes NaN, as in
+        # _to_float); anything else takes the per-cell path for its error.
         try:
-            arr = np.array([[_to_float(v) for v in row] for row in raw], dtype=float)
-        except (TypeError, ValueError):
-            raise DimensionError("matrix must be a rectangular table of numbers") from None
+            arr = np.array(raw, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or arr.ndim != 2:
+            arr = _coerce_cells(raw)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {arr.shape}")
     if not _is_power_of_two(arr.shape[0]):

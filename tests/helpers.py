@@ -108,3 +108,49 @@ def two_point_slopes(m, d, player):
     hi, lo = ends
     pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
     return pairs, hi - lo, lo
+
+
+def hard_by_spawning(n):
+    """gen_hard's 0/1 table built by literally replaying its n doubling steps.
+
+    Every player spawns a new one seated to its right; a spawned player
+    beats everyone to its left except its spawner and loses to everything
+    on its right.  Rows and columns follow final seating order.
+    """
+    players = [0]  # working ids in seating order
+    spawner = {0: None}
+    nxt = 1
+    for _ in range(n):
+        seated = []
+        for p in players:
+            spawner[nxt] = p
+            seated += [p, nxt]
+            nxt += 1
+        players = seated
+    size = len(players)
+    rank = {p: k for k, p in enumerate(players)}  # final 0-based position
+    arr = np.zeros((size, size))
+    for p in players:
+        for q in players:
+            if p == q:
+                continue
+            # default: the right-seated player wins; spawners beat their spawn
+            if spawner.get(q) == p:
+                winner_is_p = True
+            elif spawner.get(p) == q:
+                winner_is_p = False
+            else:
+                winner_is_p = rank[p] > rank[q]
+            arr[rank[p], rank[q]] = 1.0 if winner_is_p else 0.0
+    return arr
+
+
+def is_canonical_sequence(leaves):
+    """True when every internal node's left subtree holds the smaller minimum."""
+    width = 1
+    while width < len(leaves):
+        for lo in range(0, len(leaves), 2 * width):
+            if min(leaves[lo:lo + width]) > min(leaves[lo + width:lo + 2 * width]):
+                return False
+        width *= 2
+    return True

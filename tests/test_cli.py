@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bkt.cli
 from bkt import gen_hard, gen_unbalanced, uniform_perturbation, validate_matrix
-from bkt.cli import main
+from bkt.cli import _dumps, main
 
 
 def run(capsys, *argv):
@@ -32,6 +33,10 @@ def run_json(capsys, *argv):
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def src_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
 @pytest.fixture
@@ -54,6 +59,31 @@ def test_gen_hard_prints_bare_matrix(capsys):
     assert doc["matrix"][0][0] is None
     got = validate_matrix(doc["matrix"])
     assert np.array_equal(got.probs, gen_hard(2).probs)
+
+
+def test_gen_prints_exactly_the_indented_json(capsys):
+    code, out = run(capsys, "gen", "hard", "4")
+    assert code == 0
+    assert out == json.dumps(gen_hard(4).to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "hard", "20"],
+    ["gen", "bigsmall", "20", "--p", "0.7"],
+    ["gen", "threetier", "20", "--eps", "0.1"],
+])
+def test_gen_out_of_memory_is_a_json_error(capsys, monkeypatch, argv):
+    # numpy raises a private MemoryError subclass when an array will not fit
+    array_memory_error = type("_ArrayMemoryError", (MemoryError,), {})
+
+    def too_big(*args):
+        raise array_memory_error("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(bkt.cli, f"gen_{argv[1]}", too_big)
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"] == {"kind": "MemoryError",
+                            "message": "Unable to allocate 8.00 TiB for an array"}
 
 
 def test_gen_families_and_parameters(capsys):
@@ -285,9 +315,8 @@ def test_player_out_of_range_is_a_json_error(hard2, ident4, player, cmd):
 
 
 def test_closed_stdout_exits_without_traceback():
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.Popen([sys.executable, "-m", "bkt.cli", "gen", "hard", "8"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     proc.stdout.read(16)
     proc.stdout.close()  # like `| head -c 16`: the reader leaves early
     err = proc.stderr.read().decode()
@@ -350,6 +379,25 @@ def test_draws_list_needs_limit_or_override_when_large(capsys):
     assert len(doc["result"]["draws"]) == 2
 
 
+def test_draws_list_starts_promptly_at_thirty_two_players():
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():  # 2 GiB: the first draws need a few MB
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "bkt.cli", "draws", "list", "5", "--limit", "3"],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+        preexec_fn=cap_address_space)
+    assert out.returncode == 0, out.stdout + out.stderr
+    draws = json.loads(out.stdout)["result"]["draws"]
+    assert draws == [
+        list(range(1, 33)),
+        [*range(1, 30), 31, 30, 32],
+        [*range(1, 30), 32, 30, 31],
+    ]
+
+
 def test_draws_list_pretty(capsys):
     code, out = run(capsys, "draws", "list", "2", "--pretty")
     assert code == 0
@@ -381,6 +429,42 @@ def test_invalid_matrix_content(capsys, tmp_path, ident4):
     code, doc = run_json(capsys, "winprob", "--matrix", bad, "--draw", ident4)
     assert code == 2
     assert doc["error"]["kind"] == "ComplementarityError"
+
+
+# --------------------------------------------------------------- json output
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_json_keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(st.recursive(
+    _json_scalars,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(_json_keys, kids)),
+    max_leaves=40,
+))
+def test_dumps_matches_indented_json(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_cli_needs_only_loads_and_dumps_from_json(capsys, monkeypatch, hard2, ident4):
+    # the benchmark's traced run (bench/layers.py) swaps bkt.cli.json for
+    # a proxy that holds just these three
+    argvs = [
+        ["gen", "hard", "3"],
+        ["perturb", "--matrix", hard2, "--eps", "0.1"],
+        ["winprob", "--matrix", hard2, "--draw", ident4],
+        ["drop", "--matrix", hard2, "--draw", ident4, "--player", "1",
+         "--eps", "0.1", "--witness"],
+    ]
+    plain = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(bkt.cli, "json", SimpleNamespace(
+        loads=json.loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
+    assert [run(capsys, *argv) for argv in argvs] == plain
+    assert all(code == 0 for code, _ in plain)
 
 
 # -------------------------------------------------------------- installation

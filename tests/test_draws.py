@@ -15,7 +15,7 @@ from bkt import (
     draw_from_json_dict,
     enumerate_draws,
 )
-from helpers import round_signature, scramble
+from helpers import is_canonical_sequence, round_signature, scramble
 
 
 def test_counts_small():
@@ -72,6 +72,19 @@ def test_enumerate_guard_and_override():
     first = list(itertools.islice(enumerate_draws(4, allow_large=True), 3))
     assert first[0].leaves == tuple(range(1, 17))
     assert all(d.is_canonical for d in first)
+
+
+def test_enumerate_sixteen_players_prefix_matches_brute_force():
+    # Every sequence starting 1..7 precedes every other one, so the canonical
+    # ones among the 9! orders of the tail are the first canonical draws.
+    want = [
+        leaves
+        for tail in itertools.permutations(range(8, 17))
+        if is_canonical_sequence(leaves := (1, 2, 3, 4, 5, 6, 7, *tail))
+    ]
+    assert len(want) == 9 * 315
+    got = itertools.islice(enumerate_draws(4, allow_large=True), len(want))
+    assert [d.leaves for d in got] == want
 
 
 def test_enumeration_covers_every_permutation_class():

@@ -16,6 +16,7 @@ from bkt import (
     win_probabilities,
     winner,
 )
+from helpers import hard_by_spawning
 
 
 # ------------------------------------------------------------------ gen_hard
@@ -43,6 +44,11 @@ def test_hard_properties():
         assert m.deterministic
         assert m.xi == 1.0
         assert winner(m, tuple(range(1, (1 << n) + 1))) == 1
+
+
+def test_hard_matches_the_doubling_construction():
+    for n in range(1, 11):
+        assert np.array_equal(gen_hard(n).probs, hard_by_spawning(n)), n
 
 
 def test_hard_rejects_bad_n():

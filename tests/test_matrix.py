@@ -9,6 +9,7 @@ from bkt import (
     matrix_from_json_dict,
     validate_matrix,
 )
+from bkt.matrix import _coerce_cells
 
 
 def test_accepts_two_player_deterministic():
@@ -170,3 +171,39 @@ def test_validate_is_idempotent_on_comparison_matrix():
     m2 = validate_matrix(m)
     assert isinstance(m2, ComparisonMatrix)
     assert np.array_equal(m.probs, m2.probs)
+
+
+def _outcome(build):
+    try:
+        return "ok", build().probs.tolist()
+    except Exception as e:  # the type and the message are what is compared
+        return type(e).__name__, str(e)
+
+
+@pytest.mark.parametrize("raw, kind", [
+    ([[None, 0.5], [0.5]], "DimensionError"),  # ragged
+    ([[[0.5], [0.5]], [[0.5], [0.5]]], "RangeError"),  # 3-D
+    ([[None, {}], [{}, None]], "RangeError"),  # dict cells
+    ([[None, 10**400], [0, None]], "OverflowError"),  # too big for a float
+    ([[None, "0.25"], [" 0.75 ", None]], "ok"),  # numeric strings
+    ([[None, "1_0"], ["-9", None]], "RangeError"),
+    ([[None, "x"], [0.5, None]], "RangeError"),
+    ([["anything", 0.5], [0.5, "anything"]], "ok"),
+    ([[None, True], [False, None]], "ok"),
+    (["01", "00"], "ok"),  # rows of characters, as the per-cell path reads them
+    ([0.5, 0.5], "DimensionError"),
+    ([], "DimensionError"),
+    ([[]], "DimensionError"),
+    (0.5, "DimensionError"),
+])
+def test_one_call_table_reader_agrees_with_per_cell_reader(raw, kind):
+    fast = _outcome(lambda: validate_matrix(raw))
+    assert fast == _outcome(lambda: validate_matrix(_coerce_cells(raw)))
+    assert fast[0] == kind
+
+
+def test_json_dict_rows_hold_plain_floats():
+    m = validate_matrix([[0, 0.7], [0.3, 0]])
+    rows = m.to_json_dict()["matrix"]
+    assert rows == [[None, 0.7], [0.3, None]]
+    assert all(type(v) is float for row in rows for v in row if v is not None)
