@@ -72,6 +72,22 @@ def _canon(seq: tuple[int, ...]) -> tuple[int, ...]:
     return left + right if left[0] < right[0] else right + left
 
 
+def _canon_rows(rows):
+    """Canonicalize a C-contiguous (B, N) int array of leaf rows in place.
+
+    Bottom-up: once every block of size h is canonical it starts with its
+    minimum, so each block of size 2h needs only its first labels compared.
+    """
+    B, N = rows.shape
+    h = 1
+    while h < N:
+        v = rows.reshape(B, N // (2 * h), 2, h)
+        swap = v[:, :, 0, 0] > v[:, :, 1, 0]
+        v[swap] = v[swap][:, ::-1]
+        h *= 2
+    return rows
+
+
 def canonicalize(d: Draw | Iterable[int]) -> Draw:
     """Canonical representative of the draw's isomorphism class."""
     if not isinstance(d, Draw):

@@ -108,25 +108,38 @@ def _clipped(alpha: float, p: float) -> float:
     return max(-alpha, 0.0)
 
 
+def _slopes(m: ComparisonMatrix, leaves: tuple[int, ...], player: int):
+    """(wp, rows, cols, alphas, ps) of a canonical draw over the pairs i < j.
+
+    One forward pass of the reach kernel and one adjoint pass give every
+    pair's slope alpha at once: wp is affine in each pair's entry, so the
+    derivative is the exact slope.
+    """
+    perm, pq = _leaf_order(m.probs[None], leaves)
+    levels = _reach(pq)
+    pos = np.argsort(perm)  # leaf of each player
+    leaf = int(pos[player - 1])
+    rows, cols = np.triu_indices(m.size, 1)
+    alphas = _reach_adjoint(pq, levels, leaf)[pos[rows], pos[cols]]
+    return float(levels[-1][0, leaf]), rows, cols, alphas, m.probs[rows, cols]
+
+
+def _drop_coefficient(m: ComparisonMatrix, leaves: tuple[int, ...], player: int) -> float:
+    """`sensitivity(...).drop_coefficient` of canonical leaves, without the report."""
+    _, _, _, alphas, ps = _slopes(m, leaves, player)
+    return sum(map(_clipped, alphas.tolist(), ps.tolist()))
+
+
 def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     """Slopes alpha, intercepts beta and the drop coefficient for one draw.
 
-    One forward pass of the reach kernel and one adjoint pass give every
-    pair's slope alpha at once (wp is affine in each pair's entry, so the
-    derivative is the exact slope); beta = wp - alpha * p.  The sum runs
-    over unordered pairs {i, j} in lexicographic order.
+    beta = wp - alpha * p.  The sum runs over unordered pairs {i, j} in
+    lexicographic order.
     """
     d = _as_draw(d)
     _check_dims(m, d)
     _check_player(m, player)
-    perm, pq = _leaf_order(m.probs[None], canonicalize(d).leaves)
-    levels = _reach(pq)
-    pos = np.argsort(perm)  # leaf of each player
-    leaf = int(pos[player - 1])
-    base = float(levels[-1][0, leaf])
-    rows, cols = np.triu_indices(m.size, 1)
-    alphas = _reach_adjoint(pq, levels, leaf)[pos[rows], pos[cols]]
-    ps = m.probs[rows, cols]
+    base, rows, cols, alphas, ps = _slopes(m, canonicalize(d).leaves, player)
     betas = (base - alphas * ps).tolist()
     alphas, ps = alphas.tolist(), ps.tolist()
     contributions = list(map(_clipped, alphas, ps))

@@ -4,16 +4,19 @@ Four problems over a fixed comparison matrix and target player: force an
 outright win (TFP), reach a winning-probability threshold (PTFP), and the
 robust variants that additionally cap the drop coefficient (RTFP, RPTFP).
 Small instances are scanned exhaustively over canonical draws; larger ones
-fall back to a restarted local search over block swaps.
+fall back to a restarted local search over block swaps.  Both score their
+candidates in batches: one `_reach` call evaluates a whole stack of draws.
 """
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import Draw, canonicalize, enumerate_draws
+from .draws import Draw, _canon_rows, _canonical_sequences
 from .errors import (
     NoWinningDraw,
     NotDeterministic,
@@ -21,11 +24,12 @@ from .errors import (
     ScaleError,
 )
 from .matrix import ComparisonMatrix
-from .robustness import _winner_levels, sensitivity
-from .winprob import _check_player, win_probabilities, winner
+from .robustness import _drop_coefficient, sensitivity
+from .winprob import _check_player, _reach, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
 _WP_ATOL = 1e-9
+_CHUNK_CELLS = 1 << 16  # matrix cells per _reach call; bounds a scan's memory
 
 _PROBLEMS = ("TFP", "PTFP", "RTFP", "RPTFP")
 
@@ -99,20 +103,6 @@ class SolveResult:
         }
 
 
-def _evaluate(req: SolveRequest, d: Draw) -> tuple[bool, float, float | None]:
-    m = req.matrix
-    if req.problem in ("TFP", "RTFP"):
-        wp = 1.0 if winner(m, d) == req.player else 0.0
-    else:
-        wp = float(win_probabilities(m, d)[req.player - 1])
-    if wp < req.wp_target - _WP_ATOL:
-        return False, wp, None
-    if req.drop_bound is None:
-        return True, wp, None
-    s = sensitivity(m, d, req.player).drop_coefficient
-    return s <= req.drop_bound + _WP_ATOL, wp, s
-
-
 def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> None:
     # independent recomputation guards against evaluator divergence
     full = float(win_probabilities(req.matrix, d)[req.player - 1])
@@ -124,64 +114,88 @@ def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> N
             raise RuntimeError("witness fails re-verification of its drop coefficient")
 
 
+def _player_reach(m: ComparisonMatrix, rows: np.ndarray, player: int) -> np.ndarray:
+    """(B, rounds + 1): the chance that the player wins their first k rounds.
+
+    rows is a (B, N) array of canonical draws.  The stack is evaluated in
+    chunks of at most _CHUNK_CELLS matrix cells, one _reach call each.
+    """
+    B, N = rows.shape
+    step = max(1, _CHUNK_CELLS // (N * N))
+    out = []
+    for lo in range(0, B, step):
+        perm = rows[lo:lo + step] - 1
+        levels = _reach(m.probs[perm[:, :, None], perm[:, None, :]])
+        at = np.arange(len(perm))
+        leaf = np.argmax(perm == player - 1, axis=1)
+        out.append(np.stack([level[at, leaf] for level in levels], axis=1))
+    return np.concatenate(out)
+
+
+def _scores(req: SolveRequest, rows: np.ndarray) -> list[tuple]:
+    """(score, ok, wp, s) of each canonical row, up to the first that is ok.
+
+    The score is lexicographic, larger is better, for hill-climbing.  Its
+    primary part measures progress toward the winning condition: rounds
+    survived on 0/1 matrices (every reach level is then exactly 0 or 1),
+    capped wp otherwise.  The secondary part rewards a low drop coefficient,
+    which is computed only for rows whose wp meets the target.
+    """
+    m, target, bound = req.matrix, req.wp_target, req.drop_bound
+    reach = _player_reach(m, rows, req.player)
+    if req.problem in ("TFP", "RTFP"):
+        primaries = reach[:, 1:].sum(axis=1).tolist()
+    else:
+        primaries = np.minimum(reach[:, -1], target).tolist()
+    out = []
+    for k, (wp, primary) in enumerate(zip(reach[:, -1].tolist(), primaries)):
+        ok, s = wp >= target - _WP_ATOL, None
+        if ok and bound is not None:
+            s = _drop_coefficient(m, tuple(rows[k].tolist()), req.player)
+            ok = s <= bound + _WP_ATOL
+        secondary = 0.0 if bound is None else -s if s is not None else -np.inf
+        out.append(((primary, secondary), ok, wp, s))
+        if ok:
+            break
+    return out
+
+
+def _all_rows(m: ComparisonMatrix) -> np.ndarray:
+    """Every canonical draw, one row each, in lexicographic order."""
+    return np.array(list(_canonical_sequences(tuple(range(1, m.size + 1)))))
+
+
 def _solve_exact(req: SolveRequest) -> SolveResult:
-    m = req.matrix
-    if m.size > EXACT_LIMIT:
+    if req.matrix.size > EXACT_LIMIT:
         raise ScaleError(
             f"exact scan is limited to {EXACT_LIMIT} players; use the heuristic"
         )
-    examined = 0
-    for d in enumerate_draws(m.n):
-        examined += 1
-        ok, wp, s = _evaluate(req, d)
-        if ok:
-            _verify_witness(req, d, wp, s)
-            return SolveResult(True, d, wp, s, examined, True)
-    return SolveResult(False, None, None, None, examined, True)
+    rows = _all_rows(req.matrix)
+    scores = _scores(req, rows)
+    _, ok, wp, s = scores[-1]
+    if not ok:
+        return SolveResult(False, None, None, None, len(rows), True)
+    d = Draw(tuple(rows[len(scores) - 1].tolist()))
+    _verify_witness(req, d, wp, s)
+    return SolveResult(True, d, wp, s, len(scores), True)
 
 
-def _rounds_survived(req: SolveRequest, d: Draw) -> int:
-    levels = _winner_levels(req.matrix, d)
-    target = req.player - 1
-    depth = 0
-    for level in levels[1:]:
-        if target not in level:
-            break
-        depth += 1
-    return depth
+@functools.cache
+def _swaps(size: int) -> np.ndarray:
+    """Leaf index rows of every swap of two equal aligned blocks.
 
-
-def _score(req: SolveRequest, d: Draw) -> tuple[tuple[float, float], bool, float, float | None]:
-    """Lexicographic score for hill-climbing; larger is better.
-
-    The primary part measures progress toward the winning condition (rounds
-    survived for 0/1 matrices, capped wp otherwise); the secondary part
-    kicks in only once the primary is satisfied and rewards low drop.
+    Block sizes rise, then the pairs of blocks go in lexicographic order.
     """
-    ok, wp, s = _evaluate(req, d)
-    if req.problem in ("TFP", "RTFP"):
-        primary = float(_rounds_survived(req, d))
-    else:
-        primary = min(wp, req.wp_target)
-    if req.drop_bound is None:
-        return (primary, 0.0), ok, wp, s
-    secondary = -s if s is not None else -np.inf
-    return (primary, secondary), ok, wp, s
-
-
-def _neighbors(leaves: tuple[int, ...]):
-    n = len(leaves)
+    out = []
     b = 1
-    while b <= n // 2:
-        starts = range(0, n, b)
-        for x in starts:
-            for y in starts:
-                if y <= x:
-                    continue
-                out = list(leaves)
-                out[x : x + b], out[y : y + b] = leaves[y : y + b], leaves[x : x + b]
-                yield tuple(out)
+    while b <= size // 2:
+        for x in range(0, size, b):
+            for y in range(x + b, size, b):
+                idx = list(range(size))
+                idx[x:x + b], idx[y:y + b] = idx[y:y + b], idx[x:x + b]
+                out.append(idx)
         b *= 2
+    return np.array(out, dtype=np.intp)
 
 
 def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult:
@@ -189,31 +203,38 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
     rng = np.random.default_rng(seed)
     cache: dict[tuple[int, ...], tuple] = {}
 
-    def evaluate(leaves):
-        if leaves not in cache:
-            cache[leaves] = _score(req, Draw(leaves))
-        return cache[leaves]
+    def visit(rows):
+        """(leaves, score, ok, wp, s) of canonical rows in order, stopping at
+        the first ok; the rows not yet cached are scored in one batch."""
+        keys = list(map(tuple, rows.tolist()))
+        first = {}  # first index of each uncached key, in order
+        for k, key in enumerate(keys):
+            if key not in cache:
+                first.setdefault(key, k)
+        scored = dict(zip(first, _scores(req, rows[list(first.values())]))) if first else {}
+        for key in keys:
+            entry = cache.setdefault(key, scored.get(key))
+            yield (key, *entry)
+            if entry[1]:
+                return
 
-    starts = [tuple(range(1, size + 1))]
-    for _ in range(max(1, restarts) - 1):
-        starts.append(tuple(int(x) + 1 for x in rng.permutation(size)))
-    for start in starts:
-        cur = canonicalize(start).leaves
-        cur_score, ok, wp, s = evaluate(cur)
+    def found(leaves, wp, s):
+        d = Draw(leaves)
+        _verify_witness(req, d, wp, s)
+        return SolveResult(True, d, wp, s, len(cache), False)
+
+    for restart in range(max(1, restarts)):
+        # each random start is drawn only once the previous restarts are spent
+        start = np.arange(1, size + 1) if restart == 0 else rng.permutation(size) + 1
+        ((cur, cur_score, ok, wp, s),) = visit(_canon_rows(start[None]))
         if ok:
-            d = Draw(cur)
-            _verify_witness(req, d, wp, s)
-            return SolveResult(True, d, wp, s, len(cache), False)
+            return found(cur, wp, s)
         while True:
             best = None
             best_score = cur_score
-            for nb in _neighbors(cur):
-                nb = canonicalize(nb).leaves
-                score, ok, wp, s = evaluate(nb)
+            for nb, score, ok, wp, s in visit(_canon_rows(np.asarray(cur)[_swaps(size)])):
                 if ok:
-                    d = Draw(nb)
-                    _verify_witness(req, d, wp, s)
-                    return SolveResult(True, d, wp, s, len(cache), False)
+                    return found(nb, wp, s)
                 if score > best_score:
                     best, best_score = nb, score
             if best is None:
@@ -229,6 +250,8 @@ def solve(req: SolveRequest, *, restarts: int = 10, seed: int = 0) -> SolveResul
     answers are definitive; heuristic mode runs a restarted local search
     whose negative answers are inconclusive.  Mode "auto" picks by size.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     mode = req.mode
     if mode == "auto":
         mode = "exact" if req.matrix.size <= EXACT_LIMIT else "heuristic"
@@ -245,13 +268,10 @@ def best_draw(m: ComparisonMatrix, player: int) -> tuple[Draw, float]:
     _check_player(m, player)
     if m.size > EXACT_LIMIT:
         raise ScaleError(f"best_draw is limited to {EXACT_LIMIT} players")
-    best = None
-    best_wp = -1.0
-    for d in enumerate_draws(m.n):
-        wp = float(win_probabilities(m, d)[player - 1])
-        if wp > best_wp:
-            best, best_wp = d, wp
-    return best, best_wp
+    rows = _all_rows(m)
+    wps = _player_reach(m, rows, player)[:, -1]
+    k = int(np.argmax(wps))  # the first maximizer
+    return Draw(tuple(rows[k].tolist())), float(wps[k])
 
 
 @dataclass(frozen=True)
@@ -280,12 +300,12 @@ def enumerate_delta_optimal(
     _check_player(m, player)
     if m.size > EXACT_LIMIT:
         raise ScaleError(f"the delta-optimal scan is limited to {EXACT_LIMIT} players")
-    draws = list(enumerate_draws(m.n))
-    wps = [float(win_probabilities(m, d)[player - 1]) for d in draws]
+    rows = _all_rows(m)
+    wps = _player_reach(m, rows, player)[:, -1].tolist()
     top = max(wps)
     entries = [
-        DeltaOptimalEntry(d, wp, sensitivity(m, d, player).drop_coefficient)
-        for d, wp in zip(draws, wps)
+        DeltaOptimalEntry(Draw(leaves), wp, _drop_coefficient(m, leaves, player))
+        for leaves, wp in zip(map(tuple, rows.tolist()), wps)
         if wp >= top - delta - _WP_ATOL
     ]
     entries.sort(key=lambda e: (e.drop_coefficient, -e.wp, e.draw.leaves))

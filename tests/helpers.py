@@ -1,9 +1,20 @@
-"""Shared test utilities: seeded instance builders and an independent
-structural signature for draw equivalence."""
+"""Shared test utilities: seeded instance builders, an independent
+structural signature for draw equivalence, and reference implementations
+that the fast paths are checked against."""
 
 import numpy as np
 
-from bkt import validate_matrix
+from bkt import (
+    Draw,
+    SolveResult,
+    canonicalize,
+    enumerate_draws,
+    sensitivity,
+    validate_matrix,
+    win_probabilities,
+    winner,
+)
+from bkt.robustness import _winner_levels
 
 
 def random_matrix(rng, size, interior=False):
@@ -154,3 +165,132 @@ def is_canonical_sequence(leaves):
                 return False
         width *= 2
     return True
+
+
+# ------------------------------------------------ one-draw-at-a-time solvers
+#
+# The draw searches as they ran before the batched scorer: every candidate
+# is scored by its own win_probabilities / winner / sensitivity call.  They
+# are the reference that solve(), best_draw() and enumerate_delta_optimal()
+# must reproduce exactly, witness and draws_examined included.
+
+_ATOL = 1e-9
+
+
+def _reference_evaluate(req, d):
+    m = req.matrix
+    if req.problem in ("TFP", "RTFP"):
+        wp = 1.0 if winner(m, d) == req.player else 0.0
+    else:
+        wp = float(win_probabilities(m, d)[req.player - 1])
+    if wp < req.wp_target - _ATOL:
+        return False, wp, None
+    if req.drop_bound is None:
+        return True, wp, None
+    s = sensitivity(m, d, req.player).drop_coefficient
+    return s <= req.drop_bound + _ATOL, wp, s
+
+
+def _reference_rounds_survived(req, d):
+    target = req.player - 1
+    depth = 0
+    for level in _winner_levels(req.matrix, d)[1:]:
+        if target not in level:
+            break
+        depth += 1
+    return depth
+
+
+def _reference_score(req, d):
+    ok, wp, s = _reference_evaluate(req, d)
+    if req.problem in ("TFP", "RTFP"):
+        primary = float(_reference_rounds_survived(req, d))
+    else:
+        primary = min(wp, req.wp_target)
+    if req.drop_bound is None:
+        return (primary, 0.0), ok, wp, s
+    return (primary, -s if s is not None else -np.inf), ok, wp, s
+
+
+def _reference_neighbors(leaves):
+    n = len(leaves)
+    b = 1
+    while b <= n // 2:
+        starts = range(0, n, b)
+        for x in starts:
+            for y in starts:
+                if y <= x:
+                    continue
+                out = list(leaves)
+                out[x:x + b], out[y:y + b] = leaves[y:y + b], leaves[x:x + b]
+                yield tuple(out)
+        b *= 2
+
+
+def reference_solve_exact(req):
+    """Scan the canonical draws one at a time, in lexicographic order."""
+    examined = 0
+    for d in enumerate_draws(req.matrix.n):
+        examined += 1
+        ok, wp, s = _reference_evaluate(req, d)
+        if ok:
+            return SolveResult(True, d, wp, s, examined, True)
+    return SolveResult(False, None, None, None, examined, True)
+
+
+def reference_solve_heuristic(req, restarts, seed):
+    """Steepest ascent over block swaps, scoring one neighbour at a time."""
+    size = req.matrix.size
+    rng = np.random.default_rng(seed)
+    cache = {}
+
+    def evaluate(leaves):
+        if leaves not in cache:
+            cache[leaves] = _reference_score(req, Draw(leaves))
+        return cache[leaves]
+
+    starts = [tuple(range(1, size + 1))]
+    for _ in range(max(1, restarts) - 1):
+        starts.append(tuple(int(x) + 1 for x in rng.permutation(size)))
+    for start in starts:
+        cur = canonicalize(start).leaves
+        cur_score, ok, wp, s = evaluate(cur)
+        if ok:
+            return SolveResult(True, Draw(cur), wp, s, len(cache), False)
+        while True:
+            best = None
+            best_score = cur_score
+            for nb in _reference_neighbors(cur):
+                nb = canonicalize(nb).leaves
+                score, ok, wp, s = evaluate(nb)
+                if ok:
+                    return SolveResult(True, Draw(nb), wp, s, len(cache), False)
+                if score > best_score:
+                    best, best_score = nb, score
+            if best is None:
+                break
+            cur, cur_score = best, best_score
+    return SolveResult(False, None, None, None, len(cache), False)
+
+
+def reference_best_draw(m, player):
+    best, best_wp = None, -1.0
+    for d in enumerate_draws(m.n):
+        wp = float(win_probabilities(m, d)[player - 1])
+        if wp > best_wp:
+            best, best_wp = d, wp
+    return best, best_wp
+
+
+def reference_delta_optimal(m, player, delta):
+    """(leaves, wp, drop coefficient) of the draws within delta of the best."""
+    draws = list(enumerate_draws(m.n))
+    wps = [float(win_probabilities(m, d)[player - 1]) for d in draws]
+    top = max(wps)
+    entries = [
+        (d.leaves, wp, sensitivity(m, d, player).drop_coefficient)
+        for d, wp in zip(draws, wps)
+        if wp >= top - delta - _ATOL
+    ]
+    entries.sort(key=lambda e: (e[2], -e[1], e[0]))
+    return entries

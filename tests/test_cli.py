@@ -289,6 +289,38 @@ def test_solve_rejects_nan_bounds(capsys, tmp_path):
         assert doc["error"]["kind"] == "ParameterError"
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_solve_rejects_a_negative_seed(capsys, tmp_path, n):
+    # 8 players scan exactly and never use the seed; 16 players search
+    m = uniform_perturbation(gen_hard(n), 0.1)
+    src = write_json(tmp_path / "p.json", m.to_json_dict())
+    code, doc = run_json(capsys, "solve", "ptfp", "--matrix", src, "--player", "1",
+                         "--q", "0", "--seed", "-1")
+    assert code == 2
+    assert doc["error"]["kind"] == "ParameterError"
+
+
+def test_solve_draws_each_restart_only_when_it_starts(tmp_path):
+    # the identity start already meets q = 0; drawing all 10**8 starts
+    # first would take minutes and tens of GB
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():  # 2 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    m = uniform_perturbation(gen_hard(4), 0.1)
+    src = write_json(tmp_path / "p16.json", m.to_json_dict())
+    out = subprocess.run(
+        [sys.executable, "-m", "bkt.cli", "solve", "ptfp", "--matrix", src, "--player", "1",
+         "--q", "0", "--restarts", str(10**8)],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+        preexec_fn=cap_address_space)
+    assert out.returncode == 0, out.stdout + out.stderr
+    result = json.loads(out.stdout)["result"]
+    assert result["witness"] == list(range(1, 17))
+    assert result["draws_examined"] == 1
+
+
 def test_solve_requires_problem_parameters(capsys, hard2):
     with pytest.raises(SystemExit):
         main(["solve", "rtfp", "--matrix", hard2, "--player", "1"])

@@ -15,6 +15,7 @@ from bkt import (
     draw_from_json_dict,
     enumerate_draws,
 )
+from bkt.draws import _canon, _canon_rows
 from helpers import is_canonical_sequence, round_signature, scramble
 
 
@@ -174,3 +175,12 @@ def test_json_round_trip():
         draw_from_json_dict({"tree": [1, 2]})
     with pytest.raises(PermutationError):
         draw_from_json_dict({"leaves": [1, 1]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(list(range(1, 2**n + 1))), min_size=1, max_size=6)))
+def test_canon_rows_matches_canon_row_by_row(perms):
+    rows = np.array(perms)
+    assert _canon_rows(rows) is rows
+    assert rows.tolist() == [list(_canon(tuple(p))) for p in perms]

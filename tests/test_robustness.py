@@ -13,6 +13,7 @@ from bkt import (
     NotWinner,
     ParameterError,
     ScaleError,
+    canonicalize,
     crucial_matches,
     crucial_matches_oracle,
     drop_estimate,
@@ -26,6 +27,7 @@ from bkt import (
     winner,
     worst_perturbation_witness,
 )
+from bkt.robustness import _drop_coefficient
 from helpers import random_deterministic, random_matrix, two_point_slopes
 
 
@@ -411,3 +413,14 @@ def test_crucial_oracle_scale_guard():
         crucial_matches_oracle(m, d, 1)
     # the fast path itself has no such limit
     assert crucial_matches(m, d, 1).count >= 7
+
+
+@pytest.mark.parametrize("size", [2, 8, 16, 32])
+def test_drop_coefficient_without_the_report_equals_the_reports(size):
+    rng = np.random.default_rng(size)
+    for m in (random_matrix(rng, size), random_deterministic(rng, size)):
+        for _ in range(20):
+            player = int(rng.integers(1, size + 1))
+            leaves = canonicalize(tuple(int(x) + 1 for x in rng.permutation(size))).leaves
+            got = _drop_coefficient(m, leaves, player)
+            assert got == sensitivity(m, leaves, player).drop_coefficient

@@ -22,7 +22,15 @@ from bkt import (
     win_probabilities,
     winner,
 )
-from helpers import random_matrix
+from bkt.solvers import _player_reach
+from helpers import (
+    random_deterministic,
+    random_matrix,
+    reference_best_draw,
+    reference_delta_optimal,
+    reference_solve_exact,
+    reference_solve_heuristic,
+)
 
 
 def all_even(size):
@@ -273,6 +281,15 @@ def test_best_draw_scale_guard():
         best_draw(gen_hard(4), 1)
 
 
+@pytest.mark.parametrize("size", [4, 8])
+def test_best_draw_matches_the_per_draw_scan(size):
+    rng = np.random.default_rng(size)
+    for m in (random_matrix(rng, size), random_deterministic(rng, size), all_even(size)):
+        for player in (1, size):
+            d, wp = best_draw(m, player)
+            assert (d, wp) == reference_best_draw(m, player)
+
+
 def test_best_draw_is_the_argmax():
     rng = np.random.default_rng(31)
     m = random_matrix(rng, 8)
@@ -306,6 +323,18 @@ def test_delta_optimal_zero_on_unique_optimum():
     assert len(ents) == 1
     assert ents[0].draw.leaves == tuple(range(1, 9))
     assert ents[0].drop_coefficient == 7.0
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_delta_optimal_matches_the_per_draw_scan(size):
+    rng = np.random.default_rng(40 + size)
+    n = size.bit_length() - 1
+    for m in (random_matrix(rng, size), random_deterministic(rng, size), gen_unbalanced(n)):
+        player = int(rng.integers(1, size + 1))
+        for delta in (0.0, 0.02, 1.0):
+            got = [(e.draw.leaves, e.wp, e.drop_coefficient)
+                   for e in enumerate_delta_optimal(m, player, delta)]
+            assert got == reference_delta_optimal(m, player, delta)
 
 
 def test_delta_optimal_rejects_negative_delta():
@@ -378,3 +407,88 @@ def test_heuristic_found_matches_exact_when_both_apply():
         h = solve(req_h, restarts=2, seed=1)
         if h.verdict == "found":
             assert solve(req_e).verdict == "yes"
+
+
+# ------------------------------------------------------ batched scan oracles
+
+
+def relabelled_hard(rng, n):
+    """gen_hard(n) with its players renamed; returns it and the renamed player
+    1, who still wins exactly one draw class."""
+    size = 1 << n
+    sigma = rng.permutation(size)
+    arr = np.empty((size, size))
+    arr[np.ix_(sigma, sigma)] = gen_hard(n).probs
+    return validate_matrix(arr), int(sigma[0]) + 1
+
+
+def oracle_requests(rng, size, mode):
+    """Requests of all four problems on random, coin and relabelled gen_hard
+    matrices, some of them satisfiable and some not."""
+    p = random_matrix(rng, size)
+    coin = random_deterministic(rng, size)
+    hard, champion = relabelled_hard(rng, size.bit_length() - 1)
+    player = int(rng.integers(1, size + 1))
+    draw = tuple(int(x) + 1 for x in rng.permutation(size))
+    q = float(win_probabilities(p, draw)[player - 1])
+    s = sensitivity(p, draw, player).drop_coefficient
+    return [
+        SolveRequest("PTFP", p, player, q=q, mode=mode),
+        SolveRequest("PTFP", p, player, q=0.9, mode=mode),
+        SolveRequest("RPTFP", p, player, q=q, s=s, mode=mode),
+        SolveRequest("RPTFP", p, player, q=0.9, s=s, mode=mode),
+        SolveRequest("TFP", coin, player, mode=mode),
+        SolveRequest("RTFP", coin, player, c=float(size // 2), mode=mode),
+        SolveRequest("TFP", hard, champion, mode=mode),
+        SolveRequest("RTFP", hard, champion, c=float(size - 1), mode=mode),
+        SolveRequest("RTFP", hard, champion, c=float(size - 2), mode=mode),
+    ]
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_exact_scan_matches_the_per_draw_scan(size):
+    rng = np.random.default_rng(size)
+    verdicts = set()
+    for _ in range(3):
+        for req in oracle_requests(rng, size, "exact"):
+            got = solve(req).to_json_dict()
+            assert got == reference_solve_exact(req).to_json_dict()
+            verdicts.add(got["answer"])
+    assert verdicts == {"yes", "no"}
+
+
+@pytest.mark.parametrize("size, runs", [
+    (8, [(1, 0), (3, 5)]),
+    (16, [(1, 0), (2, 1), (3, 7)]),
+    (32, [(1, 0)]),
+])
+def test_heuristic_matches_the_per_draw_search(size, runs):
+    rng = np.random.default_rng(100 + size)
+    verdicts = set()
+    for req in oracle_requests(rng, size, "heuristic"):
+        for restarts, seed in runs:
+            got = solve(req, restarts=restarts, seed=seed).to_json_dict()
+            assert got == reference_solve_heuristic(req, restarts, seed).to_json_dict()
+            verdicts.add(got["answer"])
+    assert verdicts == {"found", "not-found"}
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32])
+def test_batched_winning_probabilities_equal_the_per_draw_ones(size):
+    # 150 rows: two full chunks and a partial one at 32 players
+    rng = np.random.default_rng(size)
+    m = random_matrix(rng, size)
+    draws = [canonicalize(tuple(int(x) + 1 for x in rng.permutation(size))) for _ in range(150)]
+    rows = np.array([d.leaves for d in draws])
+    for player in (1, size):
+        wps = _player_reach(m, rows, player)[:, -1]
+        assert wps.tolist() == [float(win_probabilities(m, d)[player - 1]) for d in draws]
+
+
+def test_solve_rejects_a_seed_that_is_not_a_nonnegative_integer():
+    for m, mode in ((gen_hard(3), "exact"), (gen_hard(4), "heuristic")):
+        req = SolveRequest("TFP", m, 1, mode=mode)
+        for seed in (-1, 1.5, True, "0", None):
+            with pytest.raises(ParameterError):
+                solve(req, seed=seed)
+    assert solve(SolveRequest("TFP", gen_hard(4), 1), seed=np.int64(3)).verdict == "found"
