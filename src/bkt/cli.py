@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .draws import Draw, canonicalize, count_draws, draw_from_json_dict, enumerate_draws
 from .errors import BktError, ParameterError
 from .generators import gen_bigsmall, gen_hard, gen_threetier, gen_unbalanced, uniform_perturbation
@@ -104,9 +106,39 @@ def _print_json(obj) -> None:
     print(_dumps(obj))
 
 
+_CHUNK_CELLS = 1 << 16  # matrix cells joined into one write
+
+
+def _matrix_lines(m: ComparisonMatrix):
+    """The text of json.dumps(m.to_json_dict(), indent=2), in chunks of rows.
+
+    Each distinct entry is formatted once by the encoder, keyed on its bits
+    so that -0.0 keeps its own text; rows are joins of those words.  Every
+    table-sized array is built before the first chunk is yielded, so running
+    out of memory leaves nothing written.
+    """
+    size = m.size
+    keys, at = np.unique(m.probs.view(np.int64), return_inverse=True)
+    at = at.reshape(size, size)  # the inverse is 1-D before numpy 2.0
+    np.fill_diagonal(at, len(keys))
+    text = json.dumps(keys.view(np.float64).tolist(), separators=("\n", ""))
+    words = np.empty(len(keys) + 1, dtype=object)  # np.array would probe each str
+    words[:-1] = text[1:-1].split("\n")
+    words[-1] = "null"
+    cell, row = ",\n      ", "\n    ],\n    [\n      "
+    yield f'{{\n  "n": {m.n},\n  "matrix": [\n    [\n      '
+    step = max(1, _CHUNK_CELLS // size)
+    for lo in range(0, size, step):
+        if lo:
+            yield row
+        yield row.join(map(cell.join, words[at[lo:lo + step]].tolist()))
+    yield "\n    ]\n  ]\n}"
+
+
 def _print_matrix(m: ComparisonMatrix, pretty: bool) -> None:
     if not pretty:
-        _print_json(m.to_json_dict())
+        sys.stdout.writelines(_matrix_lines(m))
+        sys.stdout.write("\n")
         return
     print(f"{m.size} players (n={m.n})")
     width = 7
@@ -268,6 +300,8 @@ def _cmd_draws(args) -> int:
         c = count_draws(args.n)
         _emit_report(args, {}, {"n": args.n, "count": c}, [], [str(c)])
         return 0
+    if args.limit is not None and args.limit < 0:
+        raise ParameterError(f"--limit must be nonnegative, got {args.limit}")
     gen = enumerate_draws(args.n, allow_large=args.limit is not None or args.allow_large)
     if args.limit is not None:
         gen = itertools.islice(gen, args.limit)

@@ -45,20 +45,11 @@ def gen_unbalanced(n: int) -> ComparisonMatrix:
     if n < 2:
         raise ParameterError("gen_unbalanced needs n >= 2")
     half = 1 << (n - 1)
-    core = gen_hard(n - 1).probs
-    size = 2 * half
-    arr = np.zeros((size, size))
-    arr[:half, :half] = core
-    for a in range(half, size):
-        arr[0, a] = 1.0
-        arr[a, 0] = 0.0
-        for c in range(1, half):
-            arr[a, c] = 1.0
-            arr[c, a] = 0.0
-        for b in range(half, size):
-            if a == b:
-                continue
-            arr[a, b] = 1.0 if a > b else 0.0
+    arr = np.zeros((2 * half, 2 * half))
+    arr[:half, :half] = gen_hard(n - 1).probs
+    arr[0, half:] = 1.0
+    arr[half:, 1:half] = 1.0
+    arr[half:, half:] = np.tri(half, k=-1)  # the higher index wins
     return validate_matrix(arr)
 
 

@@ -223,7 +223,7 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
         _verify_witness(req, d, wp, s)
         return SolveResult(True, d, wp, s, len(cache), False)
 
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         # each random start is drawn only once the previous restarts are spent
         start = np.arange(1, size + 1) if restart == 0 else rng.permutation(size) + 1
         ((cur, cur_score, ok, wp, s),) = visit(_canon_rows(start[None]))
@@ -252,6 +252,8 @@ def solve(req: SolveRequest, *, restarts: int = 10, seed: int = 0) -> SolveResul
     """
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral) or restarts < 1:
+        raise ParameterError(f"restart count must be a positive integer, got {restarts!r}")
     mode = req.mode
     if mode == "auto":
         mode = "exact" if req.matrix.size <= EXACT_LIMIT else "heuristic"

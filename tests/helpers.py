@@ -156,6 +156,29 @@ def hard_by_spawning(n):
     return arr
 
 
+def unbalanced_by_loop(n):
+    """gen_unbalanced's 0/1 table built pair by pair around a spawned core.
+
+    The 2**(n-1) added players lose to player 1, beat the rest of the core,
+    and among themselves the higher index wins.
+    """
+    half = 1 << (n - 1)
+    size = 2 * half
+    arr = np.zeros((size, size))
+    arr[:half, :half] = hard_by_spawning(n - 1)
+    for a in range(half, size):
+        arr[0, a] = 1.0
+        arr[a, 0] = 0.0
+        for c in range(1, half):
+            arr[a, c] = 1.0
+            arr[c, a] = 0.0
+        for b in range(half, size):
+            if a == b:
+                continue
+            arr[a, b] = 1.0 if a > b else 0.0
+    return arr
+
+
 def is_canonical_sequence(leaves):
     """True when every internal node's left subtree holds the smaller minimum."""
     width = 1

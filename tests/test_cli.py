@@ -8,15 +8,25 @@ import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bkt.cli
-from bkt import gen_hard, gen_unbalanced, uniform_perturbation, validate_matrix
-from bkt.cli import _dumps, main
+from bkt import (
+    gen_bigsmall,
+    gen_hard,
+    gen_threetier,
+    gen_unbalanced,
+    uniform_perturbation,
+    validate_matrix,
+)
+from bkt.cli import _dumps, _matrix_lines, main
+from helpers import random_matrix
 
 
 def run(capsys, *argv):
@@ -62,9 +72,43 @@ def test_gen_hard_prints_bare_matrix(capsys):
 
 
 def test_gen_prints_exactly_the_indented_json(capsys):
-    code, out = run(capsys, "gen", "hard", "4")
+    for argv, m in [
+        (["gen", "hard", "4"], gen_hard(4)),
+        (["gen", "hard", "9"], gen_hard(9)),  # 512 players: four chunks of rows
+        (["gen", "unbalanced", "3"], gen_unbalanced(3)),
+        (["gen", "bigsmall", "3", "--p", "0.7"], gen_bigsmall(3, 0.7).matrix),
+        (["gen", "threetier", "2", "--eps", "0.02"], gen_threetier(2, 0.02)),
+    ]:
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(m.to_json_dict(), indent=2) + "\n", argv
+
+
+@pytest.mark.parametrize("source", [
+    gen_hard(1), gen_hard(3), gen_unbalanced(6),
+    random_matrix(np.random.default_rng(7), 128),
+    gen_hard(9),  # 512 players: four chunks of rows
+])
+def test_perturb_prints_exactly_the_indented_json(capsys, tmp_path, source):
+    src = write_json(tmp_path / "m.json", source.to_json_dict())
+    code, out = run(capsys, "perturb", "--matrix", src, "--eps", "0.1")
     assert code == 0
-    assert out == json.dumps(gen_hard(4).to_json_dict(), indent=2) + "\n"
+    want = uniform_perturbation(source, 0.1).to_json_dict()
+    assert out == json.dumps(want, indent=2) + "\n"
+
+
+def test_matrix_out_of_memory_writes_only_the_error(capsys, monkeypatch):
+    # the table-sized arrays are built before the first byte is written
+    array_memory_error = type("_ArrayMemoryError", (MemoryError,), {})
+
+    def too_big(*args, **kwargs):
+        raise array_memory_error("Unable to allocate 8.00 MiB for an array")
+
+    monkeypatch.setattr(bkt.cli.np, "unique", too_big)
+    code, out = run(capsys, "gen", "hard", "10")
+    assert code == 2
+    assert json.loads(out) == {"error": {"kind": "MemoryError",
+                                         "message": "Unable to allocate 8.00 MiB for an array"}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -300,6 +344,18 @@ def test_solve_rejects_a_negative_seed(capsys, tmp_path, n):
     assert doc["error"]["kind"] == "ParameterError"
 
 
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_solve_rejects_a_restart_count_below_one(capsys, tmp_path, n, restarts):
+    # 8 players scan exactly and never restart; 16 players search
+    m = uniform_perturbation(gen_hard(n), 0.1)
+    src = write_json(tmp_path / "p.json", m.to_json_dict())
+    code, doc = run_json(capsys, "solve", "ptfp", "--matrix", src, "--player", "3",
+                         "--q", "0.99", "--restarts", restarts)
+    assert code == 2
+    assert doc["error"]["kind"] == "ParameterError"
+
+
 def test_solve_draws_each_restart_only_when_it_starts(tmp_path):
     # the identity start already meets q = 0; drawing all 10**8 starts
     # first would take minutes and tens of GB
@@ -411,6 +467,15 @@ def test_draws_list_needs_limit_or_override_when_large(capsys):
     assert len(doc["result"]["draws"]) == 2
 
 
+def test_draws_list_rejects_a_negative_limit(capsys):
+    code, doc = run_json(capsys, "draws", "list", "3", "--limit", "-1")
+    assert code == 2
+    assert doc["error"]["kind"] == "ParameterError"
+    code, doc = run_json(capsys, "draws", "list", "3", "--limit", "0")
+    assert code == 0
+    assert doc["result"]["draws"] == []
+
+
 def test_draws_list_starts_promptly_at_thirty_two_players():
     resource = pytest.importorskip("resource")
 
@@ -480,6 +545,30 @@ _json_keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
 ))
 def test_dumps_matches_indented_json(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+_TRICKY = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-05, 0.1 + 0.2, 1 - 2**-53]
+_few_entries = st.sampled_from(_TRICKY + [0.1, 0.9, 0.25])
+_any_entries = st.floats(0.0, 1.0) | st.sampled_from(_TRICKY)
+
+
+@st.composite
+def _matrices(draw):
+    size = 1 << draw(st.integers(1, 6))
+    t = draw(hnp.arrays(np.float64, (size, size), elements=draw(
+        st.sampled_from([_few_entries, _any_entries]))))
+    lower = np.tri(size, k=-1, dtype=bool)
+    arr = np.where(lower, 1.0 - t.T, t)
+    arr[lower & (arr == 0.0) & np.signbit(t)] = -0.0  # -0.0 complements 1.0 too
+    return validate_matrix(arr)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(_matrices(), st.sampled_from([1, 5, 64, bkt.cli._CHUNK_CELLS]))
+def test_matrix_lines_match_indented_json(m, chunk_cells):
+    with mock.patch.object(bkt.cli, "_CHUNK_CELLS", chunk_cells):
+        text = "".join(_matrix_lines(m))
+    assert text == json.dumps(m.to_json_dict(), indent=2)
 
 
 def test_cli_needs_only_loads_and_dumps_from_json(capsys, monkeypatch, hard2, ident4):

@@ -16,7 +16,7 @@ from bkt import (
     win_probabilities,
     winner,
 )
-from helpers import hard_by_spawning
+from helpers import hard_by_spawning, unbalanced_by_loop
 
 
 # ------------------------------------------------------------------ gen_hard
@@ -85,6 +85,11 @@ def test_unbalanced_properties():
         assert np.array_equal(added, np.tril(np.ones((half, half)), -1))
         assert winner(m, tuple(range(1, size + 1))) == 1
         assert winner(m, (size, *range(2, size), 1)) == 1
+
+
+def test_unbalanced_matches_the_pairwise_construction():
+    for n in range(2, 11):
+        assert np.array_equal(gen_unbalanced(n).probs, unbalanced_by_loop(n)), n
 
 
 def test_unbalanced_rejects_small_n():

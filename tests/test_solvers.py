@@ -492,3 +492,12 @@ def test_solve_rejects_a_seed_that_is_not_a_nonnegative_integer():
             with pytest.raises(ParameterError):
                 solve(req, seed=seed)
     assert solve(SolveRequest("TFP", gen_hard(4), 1), seed=np.int64(3)).verdict == "found"
+
+
+def test_solve_rejects_a_restart_count_that_is_not_a_positive_integer():
+    for m, mode in ((gen_hard(3), "exact"), (gen_hard(4), "heuristic")):
+        req = SolveRequest("TFP", m, 1, mode=mode)
+        for restarts in (0, -3, 1.5, True, "2", None):
+            with pytest.raises(ParameterError):
+                solve(req, restarts=restarts)
+    assert solve(SolveRequest("TFP", gen_hard(4), 1), restarts=np.int64(1)).verdict == "found"
