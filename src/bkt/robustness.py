@@ -10,6 +10,7 @@ dethrones the winner.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +23,7 @@ from .errors import (
     NonpositiveEpsilon,
     NotDeterministic,
     NotWinner,
+    RangeError,
     ScaleError,
 )
 from .matrix import ComparisonMatrix, validate_matrix
@@ -30,8 +32,10 @@ from .winprob import (
     _check_dims,
     _check_player,
     _leaf_order,
+    _leaf_stacks,
     _reach,
     _reach_adjoint,
+    _winner_levels,
     win_probabilities,
 )
 
@@ -62,8 +66,9 @@ class SensitivityReport:
     drop_coefficient: float
     validity_bound: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_pair", {(ps.i, ps.j): ps for ps in self.pairs})
+    @functools.cached_property
+    def _by_pair(self) -> dict[tuple[int, int], PairSensitivity]:
+        return {(ps.i, ps.j): ps for ps in self.pairs}
 
     def pair(self, i: int, j: int) -> PairSensitivity:
         return self._by_pair[(i, j) if i < j else (j, i)]
@@ -99,35 +104,51 @@ class SensitivityReport:
         }
 
 
-def _clipped(alpha: float, p: float) -> float:
-    # at the boundary only the feasible direction can hurt
-    if 0.0 < p < 1.0:
-        return abs(alpha)
-    if p == 1.0:
-        return max(alpha, 0.0)
-    return max(-alpha, 0.0)
+def _contributions(alphas: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clipped slopes, and their sums S over the last axis."""
+    # at the boundary only the feasible direction can hurt; where() keeps the
+    # sign of a zero, as Python's max(x, 0.0) does and maximum() does not
+    hurt = np.where(ps == 1.0, alphas, -alphas)
+    c = np.where((0.0 < ps) & (ps < 1.0), np.abs(alphas), np.where(hurt < 0.0, 0.0, hurt))
+    # left to right as Python's sum adds, not pairwise as np.sum; + 0.0 makes
+    # a sum of -0.0 terms 0.0, as sum's start value 0 does
+    return c, np.cumsum(c, axis=-1)[..., -1] + 0.0
 
 
-def _slopes(m: ComparisonMatrix, leaves: tuple[int, ...], player: int):
-    """(wp, rows, cols, alphas, ps) of a canonical draw over the pairs i < j.
+def _slopes(pos, pq, levels, player: int, mask=slice(None)) -> np.ndarray:
+    """(b, C(N, 2)) slopes of the rows that mask selects from one chunk, pairs
+    i < j in lexicographic order.
 
-    One forward pass of the reach kernel and one adjoint pass give every
-    pair's slope alpha at once: wp is affine in each pair's entry, so the
+    pos is each row's leaf of every player, pq the matrix in each row's leaf
+    order, levels its forward pass.  One adjoint pass gives every pair's
+    slope alpha at once: wp is affine in each pair's entry, so the
     derivative is the exact slope.
     """
-    perm, pq = _leaf_order(m.probs[None], leaves)
-    levels = _reach(pq)
-    pos = np.argsort(perm)  # leaf of each player
-    leaf = int(pos[player - 1])
-    rows, cols = np.triu_indices(m.size, 1)
-    alphas = _reach_adjoint(pq, levels, leaf)[pos[rows], pos[cols]]
-    return float(levels[-1][0, leaf]), rows, cols, alphas, m.probs[rows, cols]
+    pos, pq, levels = pos[mask], pq[mask], [level[mask] for level in levels]
+    i, j = np.triu_indices(pq.shape[1], 1)
+    alphas = _reach_adjoint(pq, levels, pos[:, player - 1])
+    return alphas[np.arange(len(pos))[:, None], pos[:, i], pos[:, j]]
 
 
-def _drop_coefficient(m: ComparisonMatrix, leaves: tuple[int, ...], player: int) -> float:
-    """`sensitivity(...).drop_coefficient` of canonical leaves, without the report."""
-    _, _, _, alphas, ps = _slopes(m, leaves, player)
-    return sum(map(_clipped, alphas.tolist(), ps.tolist()))
+def _reach_chunks(m: ComparisonMatrix, rows: np.ndarray, player: int):
+    """(reach, slopes) per _leaf_stacks chunk of a (B, N) array of leaf rows.
+
+    reach is (b, rounds + 1): the chance that the player wins their first k
+    rounds.  slopes(mask) runs _slopes on the chunk's own forward pass, so a
+    caller that reduces each chunk before it takes the next keeps its memory
+    within one chunk.
+    """
+    for perm, pq in _leaf_stacks(m, rows):
+        levels = _reach(pq)
+        pos = np.argsort(perm, axis=1)  # leaf of each player
+        leaf = pos[:, player - 1]
+        reach = np.stack([level[np.arange(len(pos)), leaf] for level in levels], axis=1)
+        yield reach, functools.partial(_slopes, pos, pq, levels, player)
+
+
+def _drop_coefficients(m: ComparisonMatrix, alphas: np.ndarray) -> np.ndarray:
+    """`sensitivity(...).drop_coefficient` of each row of slopes, without the reports."""
+    return _contributions(alphas, m.probs[np.triu_indices(m.size, 1)])[1]
 
 
 def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
@@ -139,17 +160,19 @@ def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     d = _as_draw(d)
     _check_dims(m, d)
     _check_player(m, player)
-    base, rows, cols, alphas, ps = _slopes(m, canonicalize(d).leaves, player)
-    betas = (base - alphas * ps).tolist()
-    alphas, ps = alphas.tolist(), ps.tolist()
-    contributions = list(map(_clipped, alphas, ps))
-    pairs = map(PairSensitivity._make,
-                zip((rows + 1).tolist(), (cols + 1).tolist(), alphas, betas, ps, contributions))
+    ((reach, slopes),) = _reach_chunks(m, np.array([canonicalize(d).leaves]), player)
+    (alphas,) = slopes()
+    base = reach[0, -1]
+    rows, cols = np.triu_indices(m.size, 1)
+    ps = m.probs[rows, cols]
+    contributions, s = _contributions(alphas, ps)
+    columns = (rows + 1, cols + 1, alphas, base - alphas * ps, ps, contributions)
+    pairs = map(PairSensitivity._make, zip(*(c.tolist() for c in columns)))
     return SensitivityReport(
         player=player,
-        wp=base,
+        wp=float(base),
         pairs=tuple(pairs),
-        drop_coefficient=sum(contributions),
+        drop_coefficient=float(s),
         validity_bound=m.xi,
     )
 
@@ -174,10 +197,16 @@ class DropEstimate:
         }
 
 
-def drop_estimate(report: SensitivityReport, eps: float) -> DropEstimate:
-    """First-order estimate of the eps-adversary's damage."""
+def _check_eps(eps: float) -> None:
     if not eps > 0.0:  # also rejects NaN
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
+    if eps > 1.0:  # also rejects inf, and keeps S * eps finite
+        raise RangeError(f"eps must be at most 1, as no entry can move further; got {eps}")
+
+
+def drop_estimate(report: SensitivityReport, eps: float) -> DropEstimate:
+    """First-order estimate of the eps-adversary's damage."""
+    _check_eps(eps)
     drop = report.drop_coefficient * eps
     raw = report.wp - drop
     guaranteed = min(1.0, max(0.0, raw))
@@ -217,8 +246,7 @@ def worst_perturbation_witness(
     Requires eps <= xi(P) so no entry leaves [0, 1].  The result realizes
     the first-order drop up to O(eps^2).
     """
-    if not eps > 0.0:  # also rejects NaN
-        raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     if eps > m.xi:
         raise EpsilonTooLarge(f"eps {eps} exceeds the validity bound xi = {m.xi}")
     arr = m.probs.copy()
@@ -268,17 +296,6 @@ class CrucialMatchReport:
                 for mt in self.crucial
             ],
         }
-
-
-def _winner_levels(m: ComparisonMatrix, d: Draw) -> list[list[int]]:
-    probs = m.probs
-    levels = [[x - 1 for x in d.leaves]]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        levels.append(
-            [a if probs[a, b] == 1.0 else b for a, b in zip(prev[::2], prev[1::2])]
-        )
-    return levels
 
 
 def _require_winner(m: ComparisonMatrix, d: Draw, player: int) -> list[list[int]]:
@@ -370,8 +387,7 @@ def exact_worst_drop_oracle(
     d = _as_draw(d)
     _check_dims(m, d)
     _check_player(m, player)
-    if not eps > 0.0:  # also rejects NaN
-        raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     pair_list = list(itertools.combinations(range(1, m.size + 1), 2))
     if len(pair_list) > CORNER_ORACLE_PAIR_LIMIT and not allow_large:
         raise ScaleError(

@@ -24,12 +24,11 @@ from .errors import (
     ScaleError,
 )
 from .matrix import ComparisonMatrix
-from .robustness import _drop_coefficient, sensitivity
-from .winprob import _check_player, _reach, win_probabilities
+from .robustness import _drop_coefficients, _reach_chunks, sensitivity
+from .winprob import _check_player, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
 _WP_ATOL = 1e-9
-_CHUNK_CELLS = 1 << 16  # matrix cells per _reach call; bounds a scan's memory
 
 _PROBLEMS = ("TFP", "PTFP", "RTFP", "RPTFP")
 
@@ -114,24 +113,6 @@ def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> N
             raise RuntimeError("witness fails re-verification of its drop coefficient")
 
 
-def _player_reach(m: ComparisonMatrix, rows: np.ndarray, player: int) -> np.ndarray:
-    """(B, rounds + 1): the chance that the player wins their first k rounds.
-
-    rows is a (B, N) array of canonical draws.  The stack is evaluated in
-    chunks of at most _CHUNK_CELLS matrix cells, one _reach call each.
-    """
-    B, N = rows.shape
-    step = max(1, _CHUNK_CELLS // (N * N))
-    out = []
-    for lo in range(0, B, step):
-        perm = rows[lo:lo + step] - 1
-        levels = _reach(m.probs[perm[:, :, None], perm[:, None, :]])
-        at = np.arange(len(perm))
-        leaf = np.argmax(perm == player - 1, axis=1)
-        out.append(np.stack([level[at, leaf] for level in levels], axis=1))
-    return np.concatenate(out)
-
-
 def _scores(req: SolveRequest, rows: np.ndarray) -> list[tuple]:
     """(score, ok, wp, s) of each canonical row, up to the first that is ok.
 
@@ -139,24 +120,27 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> list[tuple]:
     primary part measures progress toward the winning condition: rounds
     survived on 0/1 matrices (every reach level is then exactly 0 or 1),
     capped wp otherwise.  The secondary part rewards a low drop coefficient,
-    which is computed only for rows whose wp meets the target.
+    which is computed only for rows whose wp meets the target.  The rows go
+    a chunk at a time, with one slope pass per chunk, and no chunk past the
+    first ok row is evaluated.
     """
     m, target, bound = req.matrix, req.wp_target, req.drop_bound
-    reach = _player_reach(m, rows, req.player)
-    if req.problem in ("TFP", "RTFP"):
-        primaries = reach[:, 1:].sum(axis=1).tolist()
-    else:
-        primaries = np.minimum(reach[:, -1], target).tolist()
     out = []
-    for k, (wp, primary) in enumerate(zip(reach[:, -1].tolist(), primaries)):
-        ok, s = wp >= target - _WP_ATOL, None
-        if ok and bound is not None:
-            s = _drop_coefficient(m, tuple(rows[k].tolist()), req.player)
-            ok = s <= bound + _WP_ATOL
-        secondary = 0.0 if bound is None else -s if s is not None else -np.inf
-        out.append(((primary, secondary), ok, wp, s))
-        if ok:
-            break
+    for reach, slopes in _reach_chunks(m, rows, req.player):
+        if req.problem in ("TFP", "RTFP"):
+            primaries = reach[:, 1:].sum(axis=1).tolist()
+        else:
+            primaries = np.minimum(reach[:, -1], target).tolist()
+        meets = reach[:, -1] >= target - _WP_ATOL
+        if bound is not None and meets.any():
+            drops = iter(_drop_coefficients(m, slopes(meets)).tolist())
+        for wp, primary, ok in zip(reach[:, -1].tolist(), primaries, meets.tolist()):
+            s = next(drops) if ok and bound is not None else None
+            ok = ok and (s is None or s <= bound + _WP_ATOL)
+            secondary = 0.0 if bound is None else -s if s is not None else -np.inf
+            out.append(((primary, secondary), ok, wp, s))
+            if ok:
+                return out
     return out
 
 
@@ -271,7 +255,7 @@ def best_draw(m: ComparisonMatrix, player: int) -> tuple[Draw, float]:
     if m.size > EXACT_LIMIT:
         raise ScaleError(f"best_draw is limited to {EXACT_LIMIT} players")
     rows = _all_rows(m)
-    wps = _player_reach(m, rows, player)[:, -1]
+    wps = np.concatenate([reach[:, -1] for reach, _ in _reach_chunks(m, rows, player)])
     k = int(np.argmax(wps))  # the first maximizer
     return Draw(tuple(rows[k].tolist())), float(wps[k])
 
@@ -303,13 +287,16 @@ def enumerate_delta_optimal(
     if m.size > EXACT_LIMIT:
         raise ScaleError(f"the delta-optimal scan is limited to {EXACT_LIMIT} players")
     rows = _all_rows(m)
-    wps = _player_reach(m, rows, player)[:, -1].tolist()
-    top = max(wps)
-    entries = [
-        DeltaOptimalEntry(Draw(leaves), wp, _drop_coefficient(m, leaves, player))
-        for leaves, wp in zip(map(tuple, rows.tolist()), wps)
-        if wp >= top - delta - _WP_ATOL
-    ]
+    chunks = list(_reach_chunks(m, rows, player))  # EXACT_LIMIT keeps them small
+    top = max(reach[:, -1].max() for reach, _ in chunks)
+    entries, lo = [], 0
+    for reach, slopes in chunks:
+        wps = reach[:, -1]
+        near = wps >= top - delta - _WP_ATOL
+        drops = _drop_coefficients(m, slopes(near)).tolist()
+        for leaves, wp, s in zip(rows[lo:lo + len(wps)][near].tolist(), wps[near].tolist(), drops):
+            entries.append(DeltaOptimalEntry(Draw(tuple(leaves)), wp, s))
+        lo += len(wps)
     entries.sort(key=lambda e: (e.drop_coefficient, -e.wp, e.draw.leaves))
     return entries
 

@@ -22,6 +22,7 @@ from .matrix import ComparisonMatrix
 
 # 2**(N-1) outcome combinations; 16 players (32768 rows) is the sane limit.
 OUTCOME_ENUMERATION_LIMIT = 16
+_CHUNK_CELLS = 1 << 16  # matrix cells per _reach call; bounds a batch's memory
 
 
 def _as_draw(d) -> Draw:
@@ -39,9 +40,18 @@ def _check_player(m: ComparisonMatrix, player) -> None:
 
 
 def _leaf_order(stack: np.ndarray, leaves: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, stack permuted into leaf order) for a (B, N, N) stack."""
+    """(perm, stack permuted into leaf order) for a (B, N, N) stack and one draw."""
     perm = np.asarray(leaves, dtype=np.intp) - 1
     return perm, stack[:, perm[:, None], perm]
+
+
+def _leaf_stacks(m: ComparisonMatrix, rows: np.ndarray):
+    """(perm, pq) per chunk of a (B, N) array of leaf rows: the rows as 0-based
+    players and the matrix in each row's leaf order, _CHUNK_CELLS cells at most."""
+    step = max(1, _CHUNK_CELLS // rows.shape[1] ** 2)
+    for lo in range(0, len(rows), step):
+        perm = rows[lo:lo + step] - 1
+        yield perm, m.probs[perm[:, :, None], perm[:, None, :]]
 
 
 def _sibling_sums(pq: np.ndarray, r: np.ndarray, half: int) -> np.ndarray:
@@ -76,32 +86,33 @@ def _reach(pq: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def _reach_adjoint(pq: np.ndarray, levels: list[np.ndarray], leaf: int) -> np.ndarray:
-    """Slopes of the root reach of `leaf` for one leaf-ordered (1, N, N) matrix.
+def _reach_adjoint(pq: np.ndarray, levels: list[np.ndarray], leaf: np.ndarray) -> np.ndarray:
+    """Slopes of the root reach of leaf[b] for each matrix b of a (B, N, N) stack.
 
-    Returns the antisymmetric (N, N) matrix alpha with alpha[a, b] the
-    derivative of wp along pq[a, b] = p, pq[b, a] = 1 - p.  Reverse mode:
-    the adjoint bar of each level starts as e_leaf at the root; a pair
-    first meeting at level k+1 has slope r_k(a) r_k(b) (bar_{k+1}(a) -
-    bar_{k+1}(b)), and bar_k = bar_{k+1} * s_k + (sibling sums of
+    Returns the antisymmetric (B, N, N) stack alpha with alpha[b, a, c] the
+    derivative of wp along pq[b, a, c] = p, pq[b, c, a] = 1 - p.  Reverse
+    mode: the adjoint bar of each level starts as e_leaf at the root; a pair
+    first meeting at level k+1 has slope r_k(a) r_k(c) (bar_{k+1}(a) -
+    bar_{k+1}(c)), and bar_k = bar_{k+1} * s_k + (sibling sums of
     bar_{k+1} * r_k through the transposed matrix).
     """
-    N = pq.shape[1]
+    B, N = pq.shape[0], pq.shape[1]
+    at = np.arange(B)[:, None]
     pq_t = np.ascontiguousarray(pq.transpose(0, 2, 1))
-    bar = np.zeros((1, N))
-    bar[0, leaf] = 1.0
-    upper = np.zeros((N, N))
+    bar = (np.arange(N) == leaf[:, None]).astype(float)
+    upper = np.zeros((B, N, N))
     for k in range(len(levels) - 2, -1, -1):
         half = 1 << k
         nb = N // (2 * half)
         r = levels[k]
-        rb, bb = r.reshape(nb, 2 * half), bar.reshape(nb, 2 * half)
+        rb, bb = r.reshape(B, nb, 2 * half), bar.reshape(B, nb, 2 * half)
         blk = np.arange(nb)
-        upper.reshape(nb, 2 * half, nb, 2 * half)[blk, :half, blk, half:] = (
-            rb[:, :half, None] * rb[:, None, half:] * (bb[:, :half, None] - bb[:, None, half:])
+        upper.reshape(B, nb, 2 * half, nb, 2 * half)[at, blk, :half, blk, half:] = (
+            rb[:, :, :half, None] * rb[:, :, None, half:]
+            * (bb[:, :, :half, None] - bb[:, :, None, half:])
         )
         bar = bar * _sibling_sums(pq, r, half) + _sibling_sums(pq_t, bar * r, half)
-    return upper - upper.T
+    return upper - upper.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,16 +149,12 @@ class ReachTable:
         return out
 
 
-def _levels(m: ComparisonMatrix, leaves: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
-    perm, pq = _leaf_order(m.probs[None], leaves)
-    return perm, _reach(pq)
-
-
 def reach_table(m: ComparisonMatrix, d) -> ReachTable:
     """Full reach table of C(P, d), keeping d's literal tree layout."""
     d = _as_draw(d)
     _check_dims(m, d)
-    _, levels = _levels(m, d.leaves)
+    ((_, pq),) = _leaf_stacks(m, np.array([d.leaves]))
+    levels = _reach(pq)
     return ReachTable(leaves=d.leaves, levels=tuple(level[0] for level in levels))
 
 
@@ -157,12 +164,7 @@ def win_probabilities(m: ComparisonMatrix, d) -> np.ndarray:
     The canonical representative of the draw is evaluated, so equivalent
     draws give bit-identical results.
     """
-    d = _as_draw(d)
-    _check_dims(m, d)
-    perm, levels = _levels(m, canonicalize(d).leaves)
-    out = np.empty(m.size)
-    out[perm] = levels[-1][0]
-    return out
+    return reach_table(m, canonicalize(_as_draw(d))).root_distribution()
 
 
 def winner(m: ComparisonMatrix, d) -> int:
@@ -171,11 +173,17 @@ def winner(m: ComparisonMatrix, d) -> int:
     _check_dims(m, d)
     if not m.deterministic:
         raise NotDeterministic("winner is defined only for 0/1 matrices")
+    return _winner_levels(m, d)[-1][0] + 1
+
+
+def _winner_levels(m: ComparisonMatrix, d: Draw) -> list[list[int]]:
+    """0-based winners of a 0/1 tournament's nodes, the leaves first."""
     probs = m.probs
-    cur = [x - 1 for x in d.leaves]
-    while len(cur) > 1:
-        cur = [a if probs[a, b] == 1.0 else b for a, b in zip(cur[::2], cur[1::2])]
-    return cur[0] + 1
+    levels = [[x - 1 for x in d.leaves]]
+    while len(levels[-1]) > 1:
+        cur = levels[-1]
+        levels.append([a if probs[a, b] == 1.0 else b for a, b in zip(cur[::2], cur[1::2])])
+    return levels
 
 
 def outcome_win_distribution(m: ComparisonMatrix, d) -> np.ndarray:

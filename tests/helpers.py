@@ -14,7 +14,7 @@ from bkt import (
     win_probabilities,
     winner,
 )
-from bkt.robustness import _winner_levels
+from bkt.winprob import _winner_levels
 
 
 def random_matrix(rng, size, interior=False):
@@ -34,6 +34,15 @@ def random_matrix(rng, size, interior=False):
 def random_deterministic(rng, size):
     """Random 0/1 comparison matrix (each pair's orientation a coin flip)."""
     a = (rng.random((size, size)) < 0.5).astype(float)
+    upper = np.triu(a, 1)
+    arr = upper + (1.0 - upper.T) * (np.tri(size, k=-1) > 0)
+    return validate_matrix(arr)
+
+
+def random_mixed(rng, size):
+    """Random comparison matrix with exact 0/1 entries next to interior ones."""
+    a = rng.random((size, size))
+    a = np.where(a < 0.3, 0.0, np.where(a > 0.7, 1.0, a))
     upper = np.triu(a, 1)
     arr = upper + (1.0 - upper.T) * (np.tri(size, k=-1) > 0)
     return validate_matrix(arr)

@@ -35,9 +35,14 @@ def run(capsys, *argv):
     return code, out
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_json(capsys, *argv):
+    """Exit code and parsed stdout, which must be strict JSON (RFC 8259)."""
     code, out = run(capsys, *argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def write_json(path, obj):
@@ -387,6 +392,17 @@ def test_drop_rejects_nan_eps(capsys, hard2, ident4):
                          "--player", "1", "--eps", "nan")
     assert code == 2
     assert doc["error"]["kind"] == "NonpositiveEpsilon"
+
+
+@pytest.mark.parametrize("cmd", [["drop"], ["drop", "--witness"], ["oracle", "drop"]])
+@pytest.mark.parametrize("eps, kind", [("inf", "RangeError"), ("-inf", "NonpositiveEpsilon"),
+                                       ("1e308", "RangeError"), ("2", "RangeError")])
+def test_eps_beyond_one_is_a_json_error(capsys, hard2, ident4, cmd, eps, kind):
+    # no entry can move by more than 1; a larger eps once printed Infinity
+    code, doc = run_json(capsys, *cmd, "--matrix", hard2, "--draw", ident4,
+                         "--player", "1", f"--eps={eps}")
+    assert code == 2
+    assert doc["error"]["kind"] == kind
 
 
 @settings(max_examples=25, deadline=None,

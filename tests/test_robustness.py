@@ -1,3 +1,7 @@
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,8 +31,14 @@ from bkt import (
     winner,
     worst_perturbation_witness,
 )
-from bkt.robustness import _drop_coefficient
-from helpers import random_deterministic, random_matrix, two_point_slopes
+from bkt.robustness import _drop_coefficients, _reach_chunks
+from helpers import random_deterministic, random_matrix, random_mixed, two_point_slopes
+
+
+def drop_coefficients(m, rows, player):
+    """(B,) drop coefficients of leaf rows, chunk by chunk, as the scans take them."""
+    chunks = _reach_chunks(m, rows, player)
+    return np.concatenate([_drop_coefficients(m, slopes()) for _, slopes in chunks])
 
 
 def all_even(size):
@@ -142,19 +152,34 @@ def test_crucial_matches_rejects_bad_player(player):
 
 def test_contribution_clipping_rule():
     rng = np.random.default_rng(41)
-    m = random_matrix(rng, 8)
-    rep = sensitivity(m, tuple(range(1, 9)), 1)
-    for pair in rep.pairs:
-        p = m.probability(pair.i, pair.j)
-        if p == 1.0:
-            expected = max(pair.alpha, 0.0)
-        elif p == 0.0:
-            expected = max(-pair.alpha, 0.0)
-        else:
-            expected = abs(pair.alpha)
-        assert pair.contribution == pytest.approx(expected)
-    assert rep.drop_coefficient == pytest.approx(
-        sum(p.contribution for p in rep.pairs))
+    for m in (random_matrix(rng, 8), random_mixed(rng, 8)):
+        for player in (1, 5):
+            rep = sensitivity(m, tuple(range(1, 9)), player)
+            for pair in rep.pairs:
+                p = m.probability(pair.i, pair.j)
+                if p == 1.0:
+                    expected = max(pair.alpha, 0.0)
+                elif p == 0.0:
+                    expected = max(-pair.alpha, 0.0)
+                else:
+                    expected = abs(pair.alpha)
+                # the sign of a zero shows in the report's JSON
+                assert pair.contribution == expected
+                assert math.copysign(1.0, pair.contribution) == math.copysign(1.0, expected)
+            # summed from left to right, over the pairs in lexicographic order
+            contributions = [pair.contribution for pair in rep.pairs]
+            assert rep.drop_coefficient == functools.reduce(operator.add, contributions)
+
+
+def test_drop_coefficient_of_zero_terms_is_positive_zero():
+    # player 2 loses every match, and every contribution here is -0.0; the
+    # report prints Python's sum of them, 0.0, not -0.0
+    m = validate_matrix([[0, 1, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0]])
+    rep = sensitivity(m, (1, 3, 2, 4), 2)
+    assert all(math.copysign(1.0, pair.contribution) < 0 for pair in rep.pairs)
+    assert math.copysign(1.0, rep.drop_coefficient) == 1.0
+    (s,) = drop_coefficients(m, np.array([[1, 3, 2, 4]]), 2)
+    assert math.copysign(1.0, s) == 1.0
 
 
 def test_sensitivity_report_serialization():
@@ -417,10 +442,15 @@ def test_crucial_oracle_scale_guard():
 
 @pytest.mark.parametrize("size", [2, 8, 16, 32])
 def test_drop_coefficient_without_the_report_equals_the_reports(size):
+    # 150 rows: at 32 players a chunk holds 64, so two full chunks and a part
     rng = np.random.default_rng(size)
-    for m in (random_matrix(rng, size), random_deterministic(rng, size)):
-        for _ in range(20):
-            player = int(rng.integers(1, size + 1))
-            leaves = canonicalize(tuple(int(x) + 1 for x in rng.permutation(size))).leaves
-            got = _drop_coefficient(m, leaves, player)
-            assert got == sensitivity(m, leaves, player).drop_coefficient
+    for make in (random_matrix, random_deterministic, random_mixed):
+        m = make(rng, size)
+        rows = np.array([
+            canonicalize(tuple(int(x) + 1 for x in rng.permutation(size))).leaves
+            for _ in range(150)
+        ])
+        for player in sorted({1, int(rng.integers(1, size + 1))}):
+            got = drop_coefficients(m, rows, player).tolist()
+            assert got == [sensitivity(m, tuple(row), player).drop_coefficient
+                           for row in rows.tolist()]

@@ -22,7 +22,10 @@ from bkt import (
     win_probabilities,
     winner,
 )
-from bkt.solvers import _player_reach
+from bkt import robustness
+from bkt.draws import _canon_rows
+from bkt.robustness import _reach_chunks
+from bkt.solvers import _scores, _swaps
 from helpers import (
     random_deterministic,
     random_matrix,
@@ -481,8 +484,34 @@ def test_batched_winning_probabilities_equal_the_per_draw_ones(size):
     draws = [canonicalize(tuple(int(x) + 1 for x in rng.permutation(size))) for _ in range(150)]
     rows = np.array([d.leaves for d in draws])
     for player in (1, size):
-        wps = _player_reach(m, rows, player)[:, -1]
+        wps = np.concatenate([reach[:, -1] for reach, _ in _reach_chunks(m, rows, player)])
         assert wps.tolist() == [float(win_probabilities(m, d)[player - 1]) for d in draws]
+
+
+def test_scores_take_slopes_a_chunk_at_a_time_up_to_the_first_ok_row(monkeypatch):
+    # 64 players, so a chunk holds 16 rows; with q = 0 every block-swap
+    # neighbour meets the target and needs its drop coefficient, and the
+    # 101st row is the first to meet the bound
+    rng = np.random.default_rng(64)
+    m = random_matrix(rng, 64)
+    rows = _canon_rows(rng.permutation(64)[_swaps(64)] + 1)
+    drops = np.array([sensitivity(m, tuple(r), 1).drop_coefficient for r in rows[:101].tolist()])
+    last = drops == drops.min()
+    rows = np.concatenate([rows[:101][~last], rows[:101][last], rows[101:]])
+    assert last.sum() == 1 and len(rows) > 2000
+    batches = []
+    adjoint = robustness._reach_adjoint
+
+    def counted(pq, levels, leaf):
+        batches.append(len(pq))
+        return adjoint(pq, levels, leaf)
+
+    monkeypatch.setattr(robustness, "_reach_adjoint", counted)
+    out = _scores(SolveRequest("RPTFP", m, 1, q=0.0, s=float(drops.min())), rows)
+    assert [ok for _, ok, _, _ in out] == [False] * 100 + [True]
+    assert batches == [16] * 7  # rows 0..111: nothing past the first ok row's chunk
+    assert [s for *_, s in out] == [sensitivity(m, tuple(r), 1).drop_coefficient
+                                    for r in rows[:101].tolist()]
 
 
 def test_solve_rejects_a_seed_that_is_not_a_nonnegative_integer():

@@ -18,7 +18,7 @@ from bkt import (
     winner,
     wp_by_outcome_enumeration,
 )
-from bkt.winprob import _leaf_order, _reach
+from bkt.winprob import _leaf_order, _reach, _reach_adjoint
 from helpers import random_deterministic, random_matrix, scramble
 
 
@@ -143,6 +143,23 @@ def test_kernel_batch_matches_outcome_enumeration():
         assert [lv.shape for lv in levels] == [(len(ms), size)] * size.bit_length()
         for row, m in zip(levels[-1], ms):
             assert np.allclose(row, outcome_win_distribution(m, d)[perm], atol=1e-12)
+
+
+def test_stacked_adjoint_matches_row_by_row_calls():
+    # several matrices and a different root leaf for each, in one call
+    rng = np.random.default_rng(36)
+    for size in (2, 4, 8, 16):
+        ms = [random_matrix(rng, size) for _ in range(4)]
+        ms += [random_deterministic(rng, size) for _ in range(2)]
+        d = tuple(int(x) + 1 for x in rng.permutation(size))
+        _, pq = _leaf_order(np.stack([m.probs for m in ms]), d)
+        levels = _reach(pq)
+        leaf = rng.integers(0, size, len(ms))
+        stacked = _reach_adjoint(pq, levels, leaf)
+        assert stacked.shape == (len(ms), size, size)
+        for b in range(len(ms)):
+            one = _reach_adjoint(pq[b:b + 1], [lv[b:b + 1] for lv in levels], leaf[b:b + 1])
+            assert np.array_equal(stacked[b:b + 1], one)
 
 
 @settings(max_examples=30, deadline=None)
