@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+from json import detect_encoding
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,12 @@ def _load(path: str, taken: set) -> tuple[object, str, str]:
         name = path
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as e:
+        # decoded as json.loads decodes bytes, but the bytes go before the
+        # parse builds its objects
+        text = raw.decode(detect_encoding(raw), "surrogatepass")
+        del raw
+        obj = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParameterError(f"{name} is not valid JSON: {e}") from e
     return obj, name, digest
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -29,7 +30,15 @@ class Draw:
     leaves: tuple[int, ...]
 
     def __post_init__(self):
-        seq = tuple(int(x) for x in self.leaves)
+        # integers only (numpy's too): int() would round 2.5, parse "3" and
+        # take True for 1
+        try:
+            leaves = tuple(self.leaves)
+            if bool in map(type, leaves):
+                raise TypeError
+            seq = tuple(map(operator.index, leaves))
+        except TypeError:
+            raise PermutationError(f"leaves must be integers, got {self.leaves!r}") from None
         n = len(seq)
         if n < 2 or n & (n - 1):
             raise PermutationError(f"need a power-of-two number of leaves >= 2, got {n}")
@@ -97,8 +106,8 @@ def canonicalize(d: Draw | Iterable[int]) -> Draw:
 
 def draw_from_json_dict(obj) -> Draw:
     """Build a draw from the {"leaves": [...]} file format."""
-    if not isinstance(obj, dict) or "leaves" not in obj:
-        raise PermutationError('draw file must be an object with a "leaves" key')
+    if not isinstance(obj, dict) or not isinstance(obj.get("leaves"), list):
+        raise PermutationError('draw file must be an object with a "leaves" list')
     return Draw(tuple(obj["leaves"]))
 
 

@@ -182,49 +182,75 @@ def _swaps(size: int) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """One bytes key per row of leaf labels 1..N: each label less one, in a
+    byte up to 256 players and in two bytes above."""
+    codes = (rows - 1).astype(np.min_scalar_type(rows.shape[1] - 1))
+    return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel().tolist()
+
+
 def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult:
     size = req.matrix.size
-    rng = np.random.default_rng(seed)
-    cache: dict[tuple[int, ...], tuple] = {}
+    # every examined draw, as a key into the columns of one score table
+    # (primary, secondary), which doubles whenever it fills
+    seen: dict[bytes, int] = {}
+    table = np.empty((2, 1024))
 
     def visit(rows):
-        """(leaves, score, ok, wp, s) of canonical rows in order, stopping at
-        the first ok; the rows not yet cached are scored in one batch."""
-        keys = list(map(tuple, rows.tolist()))
-        first = {}  # first index of each uncached key, in order
+        """(the table column of each canonical row, None), or (None, (row, wp,
+        s)) of the first ok row.  The rows not seen before are scored in one
+        batch, up to the first ok one, and remembered."""
+        nonlocal table
+        keys = _row_keys(rows)
+        fresh = {}  # each unseen key at its first row
         for k, key in enumerate(keys):
-            if key not in cache:
-                first.setdefault(key, k)
-        scored = dict(zip(first, _scores(req, rows[list(first.values())]))) if first else {}
-        for key in keys:
-            entry = cache.setdefault(key, scored.get(key))
-            yield (key, *entry)
-            if entry[1]:
-                return
+            if key not in seen:
+                fresh.setdefault(key, k)
+        at = list(fresh.values())
+        scores = _scores(req, rows[at]) if at else []
+        lo, hi = len(seen), len(seen) + len(scores)
+        if hi > table.shape[1]:
+            grown = np.empty((2, max(hi, 2 * table.shape[1])))
+            grown[:, :lo] = table[:, :lo]
+            table = grown
+        table[:, lo:hi] = np.array([score for score, *_ in scores]).reshape(-1, 2).T
+        seen.update(zip(fresh, range(lo, hi)))
+        if scores and scores[-1][1]:
+            _, _, wp, s = scores[-1]
+            return None, (rows[at[len(scores) - 1]], wp, s)
+        return [seen[key] for key in keys], None
 
-    def found(leaves, wp, s):
-        d = Draw(leaves)
+    def found(row, wp, s):
+        d = Draw(tuple(row.tolist()))
         _verify_witness(req, d, wp, s)
-        return SolveResult(True, d, wp, s, len(cache), False)
+        return SolveResult(True, d, wp, s, len(seen), False)
 
     for restart in range(restarts):
-        # each random start is drawn only once the previous restarts are spent
+        # each random start is drawn only once the previous restarts are spent,
+        # and numpy.random is imported only once there is one to draw
+        if restart == 1:
+            rng = np.random.default_rng(seed)
         start = np.arange(1, size + 1) if restart == 0 else rng.permutation(size) + 1
-        ((cur, cur_score, ok, wp, s),) = visit(_canon_rows(start[None]))
-        if ok:
-            return found(cur, wp, s)
+        rows = _canon_rows(start[None])
+        cols, hit = visit(rows)
+        if hit:
+            return found(*hit)
+        cur, cur_score = rows[0], tuple(table[:, cols[0]].tolist())
         while True:
-            best = None
-            best_score = cur_score
-            for nb, score, ok, wp, s in visit(_canon_rows(np.asarray(cur)[_swaps(size)])):
-                if ok:
-                    return found(nb, wp, s)
-                if score > best_score:
-                    best, best_score = nb, score
-            if best is None:
+            rows = _canon_rows(cur[_swaps(size)])
+            cols, hit = visit(rows)
+            if hit:
+                return found(*hit)
+            # the first neighbour with the largest (primary, secondary) score
+            primary, secondary = table[:, cols]
+            top = primary == primary.max()
+            top &= secondary == secondary[top].max()
+            k = int(np.argmax(top))
+            score = (float(primary[k]), float(secondary[k]))
+            if not score > cur_score:
                 break
-            cur, cur_score = best, best_score
-    return SolveResult(False, None, None, None, len(cache), False)
+            cur, cur_score = rows[k].copy(), score
+    return SolveResult(False, None, None, None, len(seen), False)
 
 
 def solve(req: SolveRequest, *, restarts: int = 10, seed: int = 0) -> SolveResult:

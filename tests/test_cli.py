@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -534,6 +535,30 @@ def test_invalid_json_input(capsys, tmp_path, ident4):
                          "--draw", ident4)
     assert code == 2
     assert doc["error"]["kind"] == "ParameterError"
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"leaves": [1, 2\xff]}', b"\xff",
+                                 b'{"n": 1, "matrix": [[null, 0.5], [0.5, null]]}\xff'])
+@pytest.mark.parametrize("role", ["--matrix", "--draw"])
+def test_input_that_does_not_decode_is_a_json_error(capsys, tmp_path, hard2, ident4, raw, role):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    files = {"--matrix": hard2, "--draw": ident4, role: str(bad)}
+    code, doc = run_json(capsys, "winprob", *itertools.chain(*files.items()))
+    assert code == 2
+    assert doc["error"]["kind"] == "ParameterError"
+    assert "bad.json is not valid JSON" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("leaves", ["[1, 2.5]", "[true, 2]", '"12"', "5", "null", "[[1], 2]",
+                                    '[1, "x"]', '{"a": 1, "b": 2}'])
+def test_draw_leaves_that_are_not_integers_are_a_json_error(capsys, tmp_path, leaves):
+    two = write_json(tmp_path / "two.json", gen_hard(1).to_json_dict())
+    draw = tmp_path / "draw.json"
+    draw.write_text(f'{{"leaves": {leaves}}}')
+    code, doc = run_json(capsys, "winprob", "--matrix", two, "--draw", str(draw))
+    assert code == 2
+    assert doc["error"]["kind"] == "PermutationError"
 
 
 def test_invalid_matrix_content(capsys, tmp_path, ident4):

@@ -177,6 +177,16 @@ def test_json_round_trip():
         draw_from_json_dict({"leaves": [1, 1]})
 
 
+def test_draw_leaves_must_be_integers():
+    for leaves in ((1, 2.5), (True, 2), (1.0, 2.0), ("1", "2"), ([1], 2), (1, None)):
+        with pytest.raises(PermutationError):
+            Draw(leaves)
+    d = Draw(np.array([3, 1, 4, 2], dtype=np.int64))
+    assert d.leaves == (3, 1, 4, 2) and all(type(x) is int for x in d.leaves)
+    assert Draw(np.array([2, 1], dtype=np.uint8)).leaves == (2, 1)
+    assert canonicalize(np.array([4, 3, 2, 1])).leaves == (1, 2, 3, 4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.permutations(list(range(1, 2**n + 1))), min_size=1, max_size=6)))

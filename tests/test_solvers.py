@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,7 +31,7 @@ from bkt import (
 from bkt import robustness
 from bkt.draws import _canon_rows
 from bkt.robustness import _reach_chunks
-from bkt.solvers import _scores, _swaps
+from bkt.solvers import _row_keys, _scores, _swaps
 from helpers import (
     random_deterministic,
     random_matrix,
@@ -530,3 +536,56 @@ def test_solve_rejects_a_restart_count_that_is_not_a_positive_integer():
             with pytest.raises(ParameterError):
                 solve(req, restarts=restarts)
     assert solve(SolveRequest("TFP", gen_hard(4), 1), restarts=np.int64(1)).verdict == "found"
+
+
+@pytest.mark.parametrize("size, itemsize", [(2, 1), (256, 1), (512, 2)])
+def test_row_keys_tell_every_row_apart(size, itemsize):
+    rng = np.random.default_rng(size)
+    ident = np.arange(1, size + 1)
+    rows = [ident, ident[::-1]] + [rng.permutation(size) + 1 for _ in range(20)]
+    for a, b in ((0, 1), (size - 2, size - 1), (0, size - 1)):  # one swap each
+        swapped = ident.copy()
+        swapped[[a, b]] = swapped[[b, a]]
+        rows.append(swapped)
+    rows = np.array(rows + rows[:3])  # three repeats
+    keys = _row_keys(rows)
+    assert all(len(k) == size * itemsize for k in keys)
+    dtype = np.uint8 if itemsize == 1 else np.uint16
+    assert [np.frombuffer(k, dtype).tolist() for k in keys] == (rows - 1).tolist()
+    assert len(set(keys)) == len(set(map(tuple, rows.tolist())))
+
+
+def test_heuristic_search_remembers_a_draw_in_a_few_hundred_bytes():
+    # q is out of reach, so every draw the one restart examines stays
+    # remembered to the end; above the working set of scoring one
+    # neighbourhood, the search may hold 240 bytes per draw (tuple keys
+    # with tuples of scores take about 520)
+    m = random_matrix(np.random.default_rng(32), 32, interior=True)
+    req = SolveRequest("PTFP", m, 1, q=1.0, mode="heuristic")
+    rows = _canon_rows(np.arange(1, 33)[_swaps(32)])
+    tracemalloc.start()
+    try:
+        _scores(req, rows)
+        _, step = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        res = solve(req, restarts=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.verdict == "not-found" and res.draws_examined > 5000
+    assert peak - step <= 240 * res.draws_examined
+
+
+def test_search_imports_numpy_random_only_for_a_random_restart():
+    code = """
+import sys
+from bkt import SolveRequest, gen_hard, solve, uniform_perturbation
+req = SolveRequest("PTFP", uniform_perturbation(gen_hard(4), 0.1), 1, q=0.99, mode="heuristic")
+for restarts in (1, 2):
+    verdict = solve(req, restarts=restarts).verdict
+    print(restarts, verdict, "numpy.random" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert out.stdout.split("\n")[:2] == ["1 not-found False", "2 not-found True"]
