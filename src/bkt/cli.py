@@ -88,7 +88,9 @@ def _dumps(obj, depth: int = 0) -> str:
     With an indent the json module encodes one value per Python call.  A
     container whose members are all plain scalars is encoded here in one
     compact call whose item separator carries the indentation; only its
-    brackets are re-indented.  Deeper containers are walked.
+    brackets are re-indented.  A list of same-keyed rows of scalars is
+    encoded one column at a time (_table_rows).  Deeper containers are
+    walked.
     """
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
@@ -103,8 +105,37 @@ def _dumps(obj, depth: int = 0) -> str:
     elif is_dict:
         body = ("," + inner).join(f"{_key(k)}: {_dumps(v, depth + 1)}" for k, v in obj.items())
     else:
-        body = ("," + inner).join(_dumps(v, depth + 1) for v in obj)
+        rows = _table_rows(obj, depth + 1)
+        if rows is None:
+            rows = (_dumps(v, depth + 1) for v in obj)
+        body = ("," + inner).join(rows)
     return brackets[0] + inner + body + outer + brackets[1]
+
+
+def _table_rows(obj, depth: int):
+    """The text of each row, at depth, if obj holds two or more non-empty
+    dicts with the same keys in the same order and only scalar values;
+    else None.
+
+    Each column is encoded in one call, split on its "\n" separators as
+    in _matrix_lines, and each row is joined by one template.
+    """
+    if len(obj) < 2 or set(map(type, obj)) != {dict} or len(set(map(tuple, obj))) > 1:
+        return None
+    keys = tuple(obj[0])
+    if not keys:
+        return None
+    # equal keys may still print apart (1, 1.0 and True; 0.0 and -0.0)
+    if not all(type(k) is str for k in keys) and len({tuple(map(_key, r)) for r in obj}) > 1:
+        return None
+    columns = list(zip(*map(dict.values, obj)))
+    if not set(map(type, itertools.chain.from_iterable(columns))) <= _SCALARS:
+        return None
+    words = [json.dumps(c, separators=("\n", ""))[1:-1].split("\n") for c in columns]
+    inner = "\n" + "  " * (depth + 1)
+    template = "{" + inner + ("," + inner).join(
+        _key(k).replace("%", "%%") + ": %s" for k in keys) + "\n" + "  " * depth + "}"
+    return map(template.__mod__, zip(*words))
 
 
 def _print_json(obj) -> None:
@@ -208,6 +239,8 @@ def _cmd_winprob(args) -> int:
 
 
 def _cmd_drop(args) -> int:
+    if args.witness and args.eps is None:
+        raise ParameterError("--witness needs --eps")
     taken, inputs, warnings = set(), {}, []
     m = _load_matrix(args.matrix, taken, inputs)
     d = _load_draw(args.draw, taken, inputs, warnings)
@@ -230,8 +263,6 @@ def _cmd_drop(args) -> int:
             f"guaranteed wp {est.guaranteed:.6f}"
         )
     if args.witness:
-        if args.eps is None:
-            raise ParameterError("--witness needs --eps")
         result["witness"] = worst_perturbation_witness(rep, m, args.eps).to_json_dict()
     _emit_report(args, inputs, result, warnings, lines)
     return 0

@@ -58,13 +58,21 @@ class PairSensitivity(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SensitivityReport:
-    """Per-pair affine decomposition of wp plus the aggregate drop coefficient."""
+    """Per-pair affine decomposition of wp plus the aggregate drop coefficient.
+
+    columns holds one numpy array per PairSensitivity field, over the pairs
+    i < j in lexicographic order; the per-pair views are built on demand.
+    """
 
     player: int
     wp: float
-    pairs: tuple[PairSensitivity, ...]
+    columns: PairSensitivity
     drop_coefficient: float
     validity_bound: float
+
+    @functools.cached_property
+    def pairs(self) -> tuple[PairSensitivity, ...]:
+        return tuple(map(PairSensitivity._make, zip(*(c.tolist() for c in self.columns))))
 
     @functools.cached_property
     def _by_pair(self) -> dict[tuple[int, int], PairSensitivity]:
@@ -76,28 +84,25 @@ class SensitivityReport:
     def alpha(self, i: int, j: int) -> float:
         return self.pair(i, j).alpha
 
+    def _by_key(self, column: np.ndarray) -> dict[tuple[int, int], float]:
+        keys = zip(self.columns.i.tolist(), self.columns.j.tolist())
+        return dict(zip(keys, column.tolist()))
+
     @property
     def alphas(self) -> dict[tuple[int, int], float]:
-        return {(ps.i, ps.j): ps.alpha for ps in self.pairs}
+        return self._by_key(self.columns.alpha)
 
     @property
     def betas(self) -> dict[tuple[int, int], float]:
-        return {(ps.i, ps.j): ps.beta for ps in self.pairs}
+        return self._by_key(self.columns.beta)
 
     def to_json_dict(self) -> dict:
         return {
             "player": self.player,
             "wp": self.wp,
             "alphas": [
-                {
-                    "i": ps.i,
-                    "j": ps.j,
-                    "alpha": ps.alpha,
-                    "beta": ps.beta,
-                    "p": ps.p,
-                    "contribution": ps.contribution,
-                }
-                for ps in self.pairs
+                {"i": i, "j": j, "alpha": a, "beta": b, "p": p, "contribution": c}
+                for i, j, a, b, p, c in zip(*(column.tolist() for column in self.columns))
             ],
             "drop_coefficient": self.drop_coefficient,
             "validity_bound": self.validity_bound,
@@ -166,12 +171,10 @@ def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     rows, cols = np.triu_indices(m.size, 1)
     ps = m.probs[rows, cols]
     contributions, s = _contributions(alphas, ps)
-    columns = (rows + 1, cols + 1, alphas, base - alphas * ps, ps, contributions)
-    pairs = map(PairSensitivity._make, zip(*(c.tolist() for c in columns)))
     return SensitivityReport(
         player=player,
         wp=float(base),
-        pairs=tuple(pairs),
+        columns=PairSensitivity(rows + 1, cols + 1, alphas, base - alphas * ps, ps, contributions),
         drop_coefficient=float(s),
         validity_bound=m.xi,
     )
@@ -219,21 +222,34 @@ def drop_estimate(report: SensitivityReport, eps: float) -> DropEstimate:
     )
 
 
+_WAYS = np.array([HOLD, DECREASE, INCREASE], dtype=object)
+
+
 @dataclass(frozen=True, eq=False)
 class WorstPerturbationWitness:
-    """Realized adversarial matrix moving each pair against the player."""
+    """Realized adversarial matrix moving each pair against the player.
 
-    directions: dict[tuple[int, int], str]
+    ways holds each pair's direction, over the pairs i < j in lexicographic
+    order.
+    """
+
+    ways: np.ndarray
     epsilon: float
     matrix: ComparisonMatrix
+
+    def _rows(self):
+        """(i, j, direction) of each pair i < j, in lexicographic order."""
+        i, j = np.triu_indices(self.matrix.size, 1)
+        return zip((i + 1).tolist(), (j + 1).tolist(), self.ways.tolist())
+
+    @property
+    def directions(self) -> dict[tuple[int, int], str]:
+        return {(i, j): way for i, j, way in self._rows()}
 
     def to_json_dict(self) -> dict:
         return {
             "epsilon": self.epsilon,
-            "directions": [
-                {"i": i, "j": j, "direction": way}
-                for (i, j), way in sorted(self.directions.items())
-            ],
+            "directions": [{"i": i, "j": j, "direction": way} for i, j, way in self._rows()],
             "matrix": self.matrix.to_json_dict(),
         }
 
@@ -249,20 +265,15 @@ def worst_perturbation_witness(
     _check_eps(eps)
     if eps > m.xi:
         raise EpsilonTooLarge(f"eps {eps} exceeds the validity bound xi = {m.xi}")
+    c = report.columns
+    down = (c.alpha > 0.0) & (c.p > 0.0)
+    up = ~down & (c.alpha < 0.0) & (c.p < 1.0)
+    new = np.where(down, c.p - eps, np.where(up, c.p + eps, c.p))
     arr = m.probs.copy()
-    directions = {}
-    for ps in report.pairs:
-        if ps.alpha > 0.0 and ps.p > 0.0:
-            way, new = DECREASE, ps.p - eps
-        elif ps.alpha < 0.0 and ps.p < 1.0:
-            way, new = INCREASE, ps.p + eps
-        else:
-            way, new = HOLD, ps.p
-        directions[(ps.i, ps.j)] = way
-        arr[ps.i - 1, ps.j - 1] = new
-        arr[ps.j - 1, ps.i - 1] = 1.0 - new
+    arr[c.i - 1, c.j - 1] = new
+    arr[c.j - 1, c.i - 1] = 1.0 - new
     return WorstPerturbationWitness(
-        directions=directions, epsilon=eps, matrix=validate_matrix(arr)
+        ways=_WAYS[down + 2 * up], epsilon=eps, matrix=validate_matrix(arr)
     )
 
 

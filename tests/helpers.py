@@ -5,6 +5,9 @@ that the fast paths are checked against."""
 import numpy as np
 
 from bkt import (
+    DECREASE,
+    HOLD,
+    INCREASE,
     Draw,
     SolveResult,
     canonicalize,
@@ -128,6 +131,27 @@ def two_point_slopes(m, d, player):
     hi, lo = ends
     pairs = list(zip((rows + 1).tolist(), (cols + 1).tolist()))
     return pairs, hi - lo, lo
+
+
+def reference_witness(report, m, eps):
+    """worst_perturbation_witness one pair at a time.
+
+    Returns the directions, keyed by pair, and the moved table before
+    validation.
+    """
+    arr = m.probs.copy()
+    directions = {}
+    for ps in report.pairs:
+        if ps.alpha > 0.0 and ps.p > 0.0:
+            way, new = DECREASE, ps.p - eps
+        elif ps.alpha < 0.0 and ps.p < 1.0:
+            way, new = INCREASE, ps.p + eps
+        else:
+            way, new = HOLD, ps.p
+        directions[(ps.i, ps.j)] = way
+        arr[ps.i - 1, ps.j - 1] = new
+        arr[ps.j - 1, ps.i - 1] = 1.0 - new
+    return directions, arr
 
 
 def hard_by_spawning(n):

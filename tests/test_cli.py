@@ -264,6 +264,14 @@ def test_drop_witness_needs_eps(capsys, hard2, ident4):
     assert doc["error"]["kind"] == "ParameterError"
 
 
+def test_drop_checks_its_arguments_before_reading_inputs(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, doc = run_json(capsys, "drop", "--matrix", missing, "--draw", missing,
+                         "--player", "1", "--witness")
+    assert code == 2
+    assert doc["error"] == {"kind": "ParameterError", "message": "--witness needs --eps"}
+
+
 # -------------------------------------------------------------------- crucial
 
 
@@ -586,6 +594,65 @@ _json_keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
 ))
 def test_dumps_matches_indented_json(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+_cell_values = _json_scalars | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, "a\nb", "\u2028", "%s", "{}"])
+_row_keys = _json_keys | st.sampled_from(
+    [1, "1", 1.0, True, 0.0, -0.0, None, "null", "%", "%s", "{}", "{0}", "a\nb", "\u2028"])
+
+
+def _alias(k):
+    """A key equal to k that json prints differently, where there is one."""
+    if type(k) is bool:
+        return int(k)
+    if type(k) is int and k in (0, 1):
+        return bool(k)
+    if type(k) is float and k.is_integer():
+        return -k if k == 0.0 else int(k)
+    return k
+
+
+@st.composite
+def _tables(draw):
+    """Two or more dicts built on one key list, maybe with one near miss."""
+    str_keys = st.text() | st.sampled_from(["1", "null", "%", "%s", "{}", "{0}", "a\nb", "\u2028"])
+    keys = draw(st.lists(draw(st.sampled_from([str_keys, _row_keys])), min_size=1, max_size=5))
+    rows = [dict(zip(keys, draw(st.lists(_cell_values, min_size=len(keys),
+                                         max_size=len(keys)))))
+            for _ in range(draw(st.integers(2, 6)))]
+    k = draw(st.integers(0, len(rows) - 1))
+    miss = draw(st.sampled_from(["none", "order", "nested", "empty", "alias"]))
+    if miss == "order":
+        rows[k] = dict(reversed(rows[k].items()))
+    elif miss == "nested":
+        rows[k][next(iter(rows[k]))] = draw(st.lists(_cell_values, max_size=2)
+                                            | st.dictionaries(_row_keys, _cell_values, max_size=2))
+    elif miss == "empty":
+        rows[k] = {}
+    elif miss == "alias":
+        rows[k] = {_alias(key): v for key, v in rows[k].items()}
+    table = draw(st.sampled_from([list, tuple]))(rows)
+    # at the top, or deeper inside the document
+    return draw(st.sampled_from([table, {"rows": table, "n": 2}, [[table], 0]]))
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+@given(_tables())
+def test_dumps_writes_same_keyed_rows_as_indented_json(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+def test_dumps_encodes_a_table_once_per_column(monkeypatch):
+    rows = [{"i": k, "x": k / 7, "way": "hold", "ok": k % 2 == 0, "none": None}
+            for k in range(500)]
+    calls = []
+    monkeypatch.setattr(bkt.cli, "json", SimpleNamespace(
+        dumps=lambda *a, **kw: calls.append(a) or json.dumps(*a, **kw)))
+    text = _dumps(rows)
+    # one call per column and one per key
+    assert len(calls) == 2 * len(rows[0])
+    assert text == json.dumps(rows, indent=2)
 
 
 _TRICKY = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-05, 0.1 + 0.2, 1 - 2**-53]

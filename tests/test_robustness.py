@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import operator
@@ -15,6 +16,7 @@ from bkt import (
     NonpositiveEpsilon,
     NotDeterministic,
     NotWinner,
+    PairSensitivity,
     ParameterError,
     ScaleError,
     canonicalize,
@@ -32,7 +34,13 @@ from bkt import (
     worst_perturbation_witness,
 )
 from bkt.robustness import _drop_coefficients, _reach_chunks
-from helpers import random_deterministic, random_matrix, random_mixed, two_point_slopes
+from helpers import (
+    random_deterministic,
+    random_matrix,
+    random_mixed,
+    reference_witness,
+    two_point_slopes,
+)
 
 
 def drop_coefficients(m, rows, player):
@@ -180,6 +188,73 @@ def test_drop_coefficient_of_zero_terms_is_positive_zero():
     assert math.copysign(1.0, rep.drop_coefficient) == 1.0
     (s,) = drop_coefficients(m, np.array([[1, 3, 2, 4]]), 2)
     assert math.copysign(1.0, s) == 1.0
+
+
+@pytest.mark.parametrize("size", [4, 8, 16, 32])
+def test_report_views_match_its_columns(size):
+    rng = np.random.default_rng(60 + size)
+    for m in (random_matrix(rng, size), random_mixed(rng, size)):
+        d = tuple(int(x) + 1 for x in rng.permutation(size))
+        player = int(rng.integers(1, size + 1))
+        rep = sensitivity(m, d, player)
+        # nothing per pair is built until a view asks for it
+        assert all(type(c) is np.ndarray for c in rep.columns)
+        assert not {"pairs", "_by_pair"} & vars(rep).keys()
+        c = rep.columns
+        want = [
+            PairSensitivity(int(c.i[k]), int(c.j[k]), float(c.alpha[k]), float(c.beta[k]),
+                            float(c.p[k]), float(c.contribution[k]))
+            for k in range(size * (size - 1) // 2)
+        ]
+        assert [(ps.i, ps.j) for ps in want] == [
+            (i, j) for i in range(1, size + 1) for j in range(i + 1, size + 1)]
+        # repr tells -0.0 from 0.0 and an int from a float
+        assert repr(rep.pairs) == repr(tuple(want))
+        for ps in want:
+            assert repr(rep.pair(ps.i, ps.j)) == repr(ps)
+            assert repr(rep.pair(ps.j, ps.i)) == repr(ps)
+        assert repr(rep.alphas) == repr({(ps.i, ps.j): ps.alpha for ps in want})
+        assert repr(rep.betas) == repr({(ps.i, ps.j): ps.beta for ps in want})
+        rows = rep.to_json_dict()["alphas"]
+        assert repr(rows) == repr([ps._asdict() for ps in want])
+        assert all(type(row) is dict for row in rows)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _signed_zeros(m):
+    """m with every exact 0 above the diagonal written as -0.0."""
+    arr = m.probs.copy()
+    arr[np.triu(arr == 0.0, 1)] = -0.0
+    return validate_matrix(arr)
+
+
+@pytest.mark.parametrize("size", [4, 8, 32])
+def test_witness_matches_the_per_pair_loop(size):
+    rng = np.random.default_rng(80 + size)
+    kinds = [random_matrix(rng, size, interior=True), random_matrix(rng, size),
+             random_deterministic(rng, size), random_mixed(rng, size),
+             _signed_zeros(random_mixed(rng, size))]
+    for m in kinds:
+        d = tuple(int(x) + 1 for x in rng.permutation(size))
+        rep = sensitivity(m, d, int(rng.integers(1, size + 1)))
+        # slopes of both signs and both zeros, next to the real ones
+        alpha = rep.columns.alpha.copy()
+        pick = rng.random(len(alpha)) < 0.5
+        alpha[pick] = rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324], pick.sum())
+        crafted = dataclasses.replace(rep, columns=rep.columns._replace(alpha=alpha))
+        # eps = xi moves the smallest entries exactly onto 0 or 1
+        for r in (rep, crafted):
+            for eps in sorted({m.xi, min(0.01, m.xi)}):
+                w = worst_perturbation_witness(r, m, eps)
+                directions, arr = reference_witness(r, m, eps)
+                assert _same_bits(w.matrix.probs, arr)
+                assert w.directions == directions
+                assert list(w.directions) == list(directions)
+                assert w.to_json_dict()["directions"] == [
+                    {"i": i, "j": j, "direction": way} for (i, j), way in directions.items()]
 
 
 def test_sensitivity_report_serialization():
