@@ -74,12 +74,13 @@ class SensitivityReport:
     def pairs(self) -> tuple[PairSensitivity, ...]:
         return tuple(map(PairSensitivity._make, zip(*(c.tolist() for c in self.columns))))
 
-    @functools.cached_property
-    def _by_pair(self) -> dict[tuple[int, int], PairSensitivity]:
-        return {(ps.i, ps.j): ps for ps in self.pairs}
-
     def pair(self, i: int, j: int) -> PairSensitivity:
-        return self._by_pair[(i, j) if i < j else (j, i)]
+        i, j = min(i, j), max(i, j)
+        size = int(self.columns.j[-1])  # the last pair is (N - 1, N)
+        if not 1 <= i < j <= size:
+            raise KeyError((i, j))
+        k = (i - 1) * (2 * size - i) // 2 + j - i - 1  # rank of (i, j) among the pairs
+        return PairSensitivity._make(c[k].item() for c in self.columns)
 
     def alpha(self, i: int, j: int) -> float:
         return self.pair(i, j).alpha
