@@ -53,7 +53,9 @@ def _load(path: str, taken: set) -> tuple[object, str, str]:
         text = raw.decode(detect_encoding(raw), "surrogatepass")
         del raw
         obj = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    # ValueError covers bad bytes, bad syntax and integers past Python's
+    # digit limit; RecursionError covers too deep a nesting
+    except (ValueError, RecursionError) as e:
         raise ParameterError(f"{name} is not valid JSON: {e}") from e
     return obj, name, digest
 

@@ -7,8 +7,6 @@ internal node, the child subtree holding the smaller minimum label first.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 import operator
 from collections.abc import Iterable, Iterator
@@ -135,48 +133,36 @@ def enumerate_draws(n: int, *, allow_large: bool = False) -> Iterator[Draw]:
     return (Draw(seq) for seq in _canonical_sequences(tuple(range(1, N + 1))))
 
 
-def _pair_stream(left: tuple[int, ...], right: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # The lex-first canonical sequence over a label set is its sorted order,
-    # so the head of every stream is free.  The recursive product behind it
-    # is built only when the merge advances this stream past its head.
-    yield tuple(sorted(left)) + tuple(sorted(right))
-    rest = (a + b for a in _canonical_sequences(left) for b in _canonical_sequences(right))
-    next(rest)
-    yield from rest
-
-
-def _pop(heap: list) -> tuple[int, ...]:
-    seq, k, stream = heap[0]
-    nxt = next(stream, None)
-    if nxt is None:
-        heapq.heappop(heap)
-    else:
-        heapq.heapreplace(heap, (nxt, k, stream))
-    return seq
-
-
 def _canonical_sequences(players: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All canonical leaf sequences over this label set, lexicographically.
+    """All canonical leaf sequences over a set of distinct nonnegative
+    labels, lexicographically, and lazily: the first comes at once."""
+    first, *rest = sorted(players)
+    return _sequences(first, sum(1 << p for p in rest), len(players))
 
-    The half containing the minimum label comes first, so the choice of the
-    rest of that half determines the class exactly once.  Each per-choice
-    stream is itself sorted and starts at its head, and the heads rise in
-    combination order.  So a stream joins the heap merge only once every
-    pending sequence below its head has been yielded: the first sequence
-    comes out without building all C(N-1, N/2-1) streams.
+
+def _sequences(first: int, pool: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Canonical sequences of k labels that start with first and take their
+    other k - 1 labels from pool, a bit set of labels above first, in
+    lexicographic order.
+
+    The first half is one of these sequences of k // 2 labels.  The second
+    half starts with its own minimum m, a label the first half left in the
+    pool, and takes its other labels from those above m; m rises while
+    enough labels remain above it.  First halves and then the m rise, so
+    the sequences do too.
     """
-    if len(players) == 1:
-        yield players
+    if k == 1:
+        yield (first,)
         return
-    half = len(players) // 2
-    lead, *rest = sorted(players)
-    heap = []  # (next sequence, stream number, stream)
-    for k, extra in enumerate(itertools.combinations(rest, half - 1)):
-        chosen = set(extra)
-        stream = _pair_stream((lead, *extra), tuple(x for x in rest if x not in chosen))
-        head = next(stream)
-        while heap and heap[0][0] < head:
-            yield _pop(heap)
-        heapq.heappush(heap, (head, k, stream))
-    while heap:
-        yield _pop(heap)
+    h = k // 2
+    for left in _sequences(first, pool, h):
+        rest = pool
+        for p in left[1:]:
+            rest ^= 1 << p
+        count = rest.bit_count()
+        while count >= h:
+            low = rest & -rest
+            rest ^= low
+            count -= 1
+            for right in _sequences(low.bit_length() - 1, rest, h):
+                yield left + right

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,11 @@ def matrix_from_json_dict(obj) -> ComparisonMatrix:
         raise DimensionError('matrix file must be an object with a "matrix" key')
     m = validate_matrix(obj["matrix"])
     declared = obj.get("n")
-    if declared is not None and declared != m.n:
+    if declared is None:
+        return m
+    # an integer, as draw leaves are: true and 1.0 are not 1
+    if isinstance(declared, bool) or not isinstance(declared, numbers.Integral):
+        raise DimensionError(f"declared n must be an integer, got {declared!r}")
+    if declared != m.n:
         raise DimensionError(f"declared n={declared} but matrix side is {m.size}")
     return m

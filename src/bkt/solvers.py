@@ -144,17 +144,15 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> list[tuple]:
     return out
 
 
-def _all_rows(m: ComparisonMatrix) -> np.ndarray:
+def _all_rows(m: ComparisonMatrix, caller: str) -> np.ndarray:
     """Every canonical draw, one row each, in lexicographic order."""
+    if m.size > EXACT_LIMIT:
+        raise ScaleError(f"{caller} is limited to {EXACT_LIMIT} players")
     return np.array(list(_canonical_sequences(tuple(range(1, m.size + 1)))))
 
 
 def _solve_exact(req: SolveRequest) -> SolveResult:
-    if req.matrix.size > EXACT_LIMIT:
-        raise ScaleError(
-            f"exact scan is limited to {EXACT_LIMIT} players; use the heuristic"
-        )
-    rows = _all_rows(req.matrix)
+    rows = _all_rows(req.matrix, "the exact scan")
     scores = _scores(req, rows)
     _, ok, wp, s = scores[-1]
     if not ok:
@@ -278,9 +276,7 @@ def best_draw(m: ComparisonMatrix, player: int) -> tuple[Draw, float]:
     Exhaustive; ties keep the lexicographically first maximizer.
     """
     _check_player(m, player)
-    if m.size > EXACT_LIMIT:
-        raise ScaleError(f"best_draw is limited to {EXACT_LIMIT} players")
-    rows = _all_rows(m)
+    rows = _all_rows(m, "best_draw")
     wps = np.concatenate([reach[:, -1] for reach, _ in _reach_chunks(m, rows, player)])
     k = int(np.argmax(wps))  # the first maximizer
     return Draw(tuple(rows[k].tolist())), float(wps[k])
@@ -310,9 +306,7 @@ def enumerate_delta_optimal(
     if not delta >= 0.0:  # also rejects NaN
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     _check_player(m, player)
-    if m.size > EXACT_LIMIT:
-        raise ScaleError(f"the delta-optimal scan is limited to {EXACT_LIMIT} players")
-    rows = _all_rows(m)
+    rows = _all_rows(m, "enumerate_delta_optimal")
     chunks = list(_reach_chunks(m, rows, player))  # EXACT_LIMIT keeps them small
     top = max(reach[:, -1].max() for reach, _ in chunks)
     entries, lo = [], 0

@@ -546,7 +546,10 @@ def test_invalid_json_input(capsys, tmp_path, ident4):
 
 
 @pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"leaves": [1, 2\xff]}', b"\xff",
-                                 b'{"n": 1, "matrix": [[null, 0.5], [0.5, null]]}\xff'])
+                                 b'{"n": 1, "matrix": [[null, 0.5], [0.5, null]]}\xff',
+                                 # too deep for the parser, too long for int()
+                                 pytest.param(b"[" * 100_000 + b"]" * 100_000, id="deep"),
+                                 pytest.param(b"7" * 5_000, id="long-int")])
 @pytest.mark.parametrize("role", ["--matrix", "--draw"])
 def test_input_that_does_not_decode_is_a_json_error(capsys, tmp_path, hard2, ident4, raw, role):
     bad = tmp_path / "bad.json"

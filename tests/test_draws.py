@@ -15,7 +15,7 @@ from bkt import (
     draw_from_json_dict,
     enumerate_draws,
 )
-from bkt.draws import _canon, _canon_rows
+from bkt.draws import _canon, _canon_rows, _canonical_sequences
 from helpers import is_canonical_sequence, round_signature, scramble
 
 
@@ -86,6 +86,27 @@ def test_enumerate_sixteen_players_prefix_matches_brute_force():
     assert len(want) == 9 * 315
     got = itertools.islice(enumerate_draws(4, allow_large=True), len(want))
     assert [d.leaves for d in got] == want
+
+
+def test_enumerate_sixteen_players_long_prefix_is_canonical_and_distinct():
+    got = [d.leaves for d in itertools.islice(enumerate_draws(4, allow_large=True), 100_000)]
+    assert len(got) == 100_000
+    assert all(a < b for a, b in itertools.pairwise(got))
+    assert all(map(is_canonical_sequence, got))
+    assert len(set(map(round_signature, got))) == len(got)
+
+
+def test_enumerate_4096_players_starts_lazily_in_order():
+    first = list(itertools.islice(enumerate_draws(12, allow_large=True), 2))
+    assert [d.leaves for d in first] == [
+        tuple(range(1, 4097)), (*range(1, 4094), 4095, 4094, 4096)]
+
+
+def test_canonical_sequences_over_any_label_set():
+    labels = (3, 5, 8, 9, 11, 12, 20, 40)
+    want = sorted(p for p in itertools.permutations(labels) if is_canonical_sequence(p))
+    assert len(want) == 315
+    assert list(_canonical_sequences(labels[::-1])) == want
 
 
 def test_enumeration_covers_every_permutation_class():

@@ -153,6 +153,15 @@ def test_json_dict_checks_declared_size():
         matrix_from_json_dict({"n": 2, "matrix": [[None, 0.5], [0.5, None]]})
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1", [1]])
+def test_json_dict_declared_n_must_be_an_integer(n):
+    table = [[None, 0.5], [0.5, None]]
+    with pytest.raises(DimensionError):
+        matrix_from_json_dict({"n": n, "matrix": table})
+    assert matrix_from_json_dict({"n": 1, "matrix": table}).n == 1
+    assert matrix_from_json_dict({"matrix": table}).n == 1
+
+
 def test_json_dict_without_n_is_accepted():
     m = matrix_from_json_dict({"matrix": [[None, 0.5], [0.5, None]]})
     assert m.size == 2

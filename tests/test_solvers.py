@@ -288,6 +288,8 @@ def test_best_draw_examples():
 def test_best_draw_scale_guard():
     with pytest.raises(ScaleError):
         best_draw(gen_hard(4), 1)
+    with pytest.raises(ScaleError):
+        enumerate_delta_optimal(gen_hard(4), 1, 0.0)
 
 
 @pytest.mark.parametrize("size", [4, 8])
