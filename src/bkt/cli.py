@@ -18,7 +18,19 @@ import sys
 from json import detect_encoding
 from pathlib import Path
 
-import numpy as np
+# bkt makes no BLAS call, yet numpy's OpenBLAS starts a thread pool on
+# import whose idle threads spin and burn CPU.  Load it with one thread
+# unless the user chose a count or numpy is loaded already, and leave
+# os.environ as it was found.
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+_cap_blas = "numpy" not in sys.modules and _BLAS_THREADS not in os.environ
+if _cap_blas:
+    os.environ[_BLAS_THREADS] = "1"
+try:
+    import numpy as np
+finally:
+    if _cap_blas:
+        del os.environ[_BLAS_THREADS]
 
 from .draws import Draw, canonicalize, count_draws, draw_from_json_dict, enumerate_draws
 from .errors import BktError, ParameterError

@@ -26,7 +26,8 @@ class PermutationError(BktError):
 
 
 class ScaleError(BktError):
-    """Instance is too large for an exhaustive operation (override to force)."""
+    """Instance is too large: for an exhaustive operation (override to force),
+    or for its table to fit in physical memory."""
 
 
 class NotDeterministic(BktError):

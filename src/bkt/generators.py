@@ -2,17 +2,38 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError
+from .errors import ParameterError, RangeError, ScaleError
 from .matrix import ComparisonMatrix, validate_matrix
 
 
-def _check_n(n: int) -> None:
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_n(n: int, table_rounds: int | None = None) -> None:
+    """n must be a positive round count, and the float table of 2**table_rounds
+    players, if one is to be built, must fit in physical memory."""
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"round count must be a positive integer, got {n!r}")
+    if table_rounds is None:
+        return
+    memory = _physical_memory()
+    # the table's 8*N*N bytes are 2**(2*table_rounds + 3): compare exponents,
+    # so that an absurd round count builds no huge integer
+    if memory is not None and 2 * table_rounds + 3 >= memory.bit_length():
+        raise ScaleError(
+            f"a table of 2**{table_rounds} players needs 2**{2 * table_rounds + 3} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
 
 def gen_hard(n: int) -> ComparisonMatrix:
@@ -24,7 +45,7 @@ def gen_hard(n: int) -> ComparisonMatrix:
     seating order, in which the player at 0-based seat q >= 1 was spawned
     by the one at seat q - (q & -q).
     """
-    _check_n(n)
+    _check_n(n, table_rounds=n)
     size = 1 << n
     arr = np.tri(size, k=-1)  # the right-seated player wins by default
     spawn = np.arange(1, size)
@@ -41,7 +62,7 @@ def gen_unbalanced(n: int) -> ComparisonMatrix:
     themselves the higher index wins.  Player 1 then wins many draws but
     every one of them leans on fragile matches.
     """
-    _check_n(n)
+    _check_n(n, table_rounds=n)
     if n < 2:
         raise ParameterError("gen_unbalanced needs n >= 2")
     half = 1 << (n - 1)
@@ -68,7 +89,7 @@ def gen_bigsmall(n: int, p: float) -> BigSmallInstance:
     Matches inside either half are even coin flips; p must sit strictly
     between 0.5 and 1.
     """
-    _check_n(n)
+    _check_n(n, table_rounds=n)
     if not 0.5 < p < 1.0:
         raise RangeError(f"p must lie strictly between 0.5 and 1, got {p}")
     size = 1 << n
@@ -94,7 +115,7 @@ def gen_threetier(n: int, eps: float) -> ComparisonMatrix:
     favourite against every big player (the rest).  Small players lose all
     cross-tier matches; medium beats big with probability 1/2 - eps/2.
     """
-    _check_n(n)
+    _check_n(n, table_rounds=n + 1)
     if n < 2:
         raise ParameterError("gen_threetier needs n >= 2")
     if not 0.0 < eps < 0.5:

@@ -55,19 +55,17 @@ def round_signature(leaves):
     """Hashable invariant of a leaf sequence's bracket-equivalence class.
 
     Collects, for every level of the tree, the set of player groups that
-    share a subtree of that size.  Swapping the two children of any node
-    leaves every group unchanged, and two sequences with identical groups
-    induce identical brackets, so equal signatures certify equivalence
-    without relying on the canonicalization code under test.
+    share a subtree of that size, each group a bit mask of its labels and
+    each level the sorted tuple of its masks.  Swapping the two children of
+    any node leaves every group unchanged, and two sequences with identical
+    groups induce identical brackets, so equal signatures certify
+    equivalence without relying on the canonicalization code under test.
     """
+    masks = [1 << label for label in leaves]
     sig = []
-    width = 2
-    while width <= len(leaves):
-        sig.append(frozenset(
-            frozenset(leaves[k:k + width])
-            for k in range(0, len(leaves), width)
-        ))
-        width *= 2
+    while len(masks) > 1:
+        masks = [a | b for a, b in zip(masks[::2], masks[1::2])]
+        sig.append(tuple(sorted(masks)))
     return tuple(sig)
 
 

@@ -136,6 +136,13 @@ def test_gen_out_of_memory_is_a_json_error(capsys, monkeypatch, argv):
                             "message": "Unable to allocate 8.00 TiB for an array"}
 
 
+def test_gen_past_physical_memory_is_a_scale_error(capsys, monkeypatch):
+    monkeypatch.setattr(bkt.generators, "_physical_memory", lambda: 4 << 20)
+    code, doc = run_json(capsys, "gen", "hard", "10")
+    assert code == 2
+    assert doc["error"]["kind"] == "ScaleError"
+
+
 def test_gen_families_and_parameters(capsys):
     code, doc = run_json(capsys, "gen", "bigsmall", "1", "--p", "0.6")
     assert code == 0

@@ -4,6 +4,7 @@ import pytest
 from bkt import (
     ParameterError,
     RangeError,
+    ScaleError,
     bigsmall_even_probability,
     compose_big_win,
     gen_bigsmall,
@@ -16,6 +17,7 @@ from bkt import (
     win_probabilities,
     winner,
 )
+from bkt import generators
 from helpers import hard_by_spawning, unbalanced_by_loop
 
 
@@ -324,3 +326,34 @@ def test_pairing_strong_with_weak_helps_the_strong_side():
         gap = p * (2 * p - 1) * (1 - p) * (a - c) * (b - d)
         assert mixed - neighbours == pytest.approx(gap, abs=1e-12)
         checked += 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: gen_hard(n),
+    lambda n: gen_unbalanced(n),
+    lambda n: gen_bigsmall(n, 0.7).matrix,
+    lambda n: gen_threetier(n - 1, 0.1),
+])
+def test_table_past_physical_memory_is_a_scale_error(monkeypatch, build):
+    # 1024 players take 8 MiB: refused at 4 MiB before anything is
+    # allocated, built at 16 MiB
+    monkeypatch.setattr(generators, "_physical_memory", lambda: 4 << 20)
+    with pytest.raises(ScaleError, match="physical memory"):
+        build(10)
+    assert build(4).size == 16
+    monkeypatch.setattr(generators, "_physical_memory", lambda: 16 << 20)
+    assert build(10).size == 1024
+
+
+def test_absurd_round_count_is_refused_without_building_it(monkeypatch):
+    monkeypatch.setattr(generators, "_physical_memory", lambda: 8 << 30)
+    with pytest.raises(ScaleError):
+        gen_hard(10**9)
+    # the closed forms build no table
+    assert hard_path_probability(40, 0.0) == 1.0
+    assert bigsmall_even_probability(40, 0.0) == 0.5
+
+
+def test_unknown_physical_memory_skips_the_check(monkeypatch):
+    monkeypatch.setattr(generators, "_physical_memory", lambda: None)
+    assert gen_hard(3).size == 8

@@ -1,0 +1,201 @@
+"""The package's import surface: lazy names, the CLI's BLAS thread cap and
+the premise behind that cap, that bkt makes no BLAS call.
+
+The import tests each run in a fresh interpreter, since this one has loaded
+numpy and the submodules already.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bkt
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+def _run(code, **env_changes):
+    """stdout of a fresh interpreter running code with bkt from SRC, parsed as JSON.
+
+    env_changes maps a variable to its value, or to None to unset it.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for key, value in env_changes.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+# ---------------------------------------------------------------- lazy package
+
+
+def test_import_bkt_loads_no_numpy_and_no_submodule():
+    loaded = _run(
+        "import json, sys, bkt\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'numpy' or m.startswith('bkt.'))))"
+    )
+    assert loaded == []
+
+
+def test_every_public_name_is_its_home_modules_object():
+    wrong = _run(
+        "import importlib, json, bkt\n"
+        "wrong = []\n"
+        "for name in bkt.__all__:\n"
+        "    home = 'bkt.' + bkt._HOME[name]\n"
+        "    obj = getattr(bkt, name)\n"
+        "    if obj is not getattr(importlib.import_module(home), name):\n"
+        "        wrong.append(name)\n"
+        "    elif getattr(obj, '__module__', home) != home:\n"
+        "        wrong.append(name)  # listed under a module that only imports it\n"
+        "print(json.dumps(wrong))"
+    )
+    assert wrong == []
+
+
+def test_star_import_and_dir_list_every_public_name():
+    missing = _run(
+        "import json, bkt\n"
+        "ns = {}\n"
+        "exec('from bkt import *', ns)\n"
+        "print(json.dumps([sorted(set(bkt.__all__) - set(ns)),\n"
+        "                  sorted(set(bkt.__all__) - set(dir(bkt))),\n"
+        "                  len(bkt.__all__)]))"
+    )
+    assert missing == [[], [], 61]
+
+
+def test_submodules_resolve_after_a_bare_import():
+    names = _run(
+        "import json, bkt\n"
+        "print(json.dumps([bkt.draws.__name__, bkt.cli.__name__, 'winprob' in dir(bkt)]))"
+    )
+    assert names == ["bkt.draws", "bkt.cli", True]
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    result = _run(
+        "import json, bkt\n"
+        "try:\n"
+        "    bkt.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(json.dumps(str(e)))"
+    )
+    assert result == "module 'bkt' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError):
+        bkt.no_such_name  # noqa: B018
+
+
+def test_a_swapped_submodule_function_is_not_kept_by_the_package(monkeypatch):
+    # the benchmark's tracer swaps functions inside the submodules and puts
+    # them back; the package must follow both ways
+    original = bkt.winner
+    sentinel = object()
+    with monkeypatch.context() as patch:
+        patch.setattr(bkt.winprob, "winner", sentinel)
+        assert bkt.winner is sentinel
+    assert bkt.winner is original
+    assert "winner" not in vars(bkt)
+
+
+# -------------------------------------------------------------------- BLAS cap
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_loads_numpy_with_one_blas_thread():
+    count = "import json, os; print(json.dumps(len(os.listdir('/proc/self/task'))))"
+    capped = _run("import bkt.cli; " + count, **{BLAS_THREADS: None})
+    single = _run("import numpy; " + count, **{BLAS_THREADS: "1"})
+    assert capped == single
+
+
+@pytest.mark.parametrize("value", ["2", None])
+def test_cli_import_leaves_the_environment_as_found(value):
+    seen = _run(
+        f"import json, os; before = os.environ.get({BLAS_THREADS!r}); import bkt.cli\n"
+        f"print(json.dumps([before, os.environ.get({BLAS_THREADS!r})]))",
+        **{BLAS_THREADS: value},
+    )
+    assert seen == [value, value]
+
+
+# ------------------------------------------ the cap's premise: no BLAS calls
+
+BLAS_CALLS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def blas_uses(tree):
+    """(line, what) of every BLAS entry point in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Name) and node.id == "linalg"
+              or isinstance(node, ast.Attribute) and node.attr == "linalg"):
+            found.append((node.lineno, "linalg"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if any("linalg" in m.split(".") for m in modules):
+                found.append((node.lineno, "linalg"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_CALLS:
+                found.append((node.lineno, name))
+            elif name == "einsum" and any(
+                    k.arg == "optimize" and not (isinstance(k.value, ast.Constant)
+                                                 and k.value.value is False)
+                    for k in node.keywords):
+                found.append((node.lineno, "einsum(optimize=...)"))
+    return found
+
+
+@pytest.mark.parametrize("snippet", [
+    "c = a @ b",
+    "a @= b",
+    "np.dot(a, b)",
+    "a.dot(b)",
+    "np.matmul(a, b)",
+    "np.tensordot(a, b, 1)",
+    "np.inner(a, b)",
+    "np.vdot(a, b)",
+    "np.linalg.norm(a)",
+    "from numpy import linalg",
+    "from numpy.linalg import solve",
+    "import numpy.linalg",
+    "np.einsum('ij,jk->ik', a, b, optimize=True)",
+    "np.einsum('ij,jk->ik', a, b, optimize='greedy')",
+])
+def test_blas_guard_sees_each_entry_point(snippet):
+    assert blas_uses(ast.parse(snippet))
+
+
+@pytest.mark.parametrize("snippet", [
+    "np.einsum('ij,jk->ik', a, b)",
+    "np.einsum('ij,jk->ik', a, b, optimize=False)",
+    "c = a * b",
+])
+def test_blas_guard_passes_plain_arithmetic(snippet):
+    assert blas_uses(ast.parse(snippet)) == []
+
+
+def test_bkt_makes_no_blas_call():
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted((SRC / "bkt").glob("*.py"))
+        for line, what in blas_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not found, (
+        "bkt now calls BLAS, so the BLAS cap in cli.py (one OpenBLAS thread) "
+        "must be revisited: " + "; ".join(found)
+    )
