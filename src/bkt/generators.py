@@ -150,10 +150,9 @@ def uniform_perturbation(m: ComparisonMatrix, eps: float) -> ComparisonMatrix:
     """
     if not 0.0 < eps < 0.5:
         raise RangeError(f"eps must lie strictly between 0 and 0.5, got {eps}")
-    arr = m.probs.copy()
-    off = ~np.eye(m.size, dtype=bool)
-    arr[off & (arr == 0.0)] = eps
-    arr[off & (arr == 1.0)] = 1.0 - eps
+    arr = m.probs.copy()  # validate_matrix resets the diagonal this moves
+    arr[arr == 0.0] = eps
+    arr[arr == 1.0] = 1.0 - eps
     return validate_matrix(arr)
 
 

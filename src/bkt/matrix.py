@@ -104,17 +104,16 @@ def validate_matrix(raw) -> ComparisonMatrix:
     """
     if isinstance(raw, ComparisonMatrix):
         return raw
-    arr = _coerce(raw)
-    side = arr.shape[0]
-    diag = np.eye(side, dtype=bool)
-    vals = arr[~diag]
-    if np.isnan(vals).any():
+    arr = _coerce(raw)  # a fresh array, so its diagonal is ours to overwrite
+    # the diagonal is never read: 0.5 passes the NaN, range and complement
+    # checks, and 0.0 is deterministic and not positive, so no mask is needed
+    np.fill_diagonal(arr, 0.5)
+    if np.isnan(arr).any():
         raise RangeError("off-diagonal entries must be numbers")
-    if (vals < 0.0).any() or (vals > 1.0).any():
-        bad = float(vals[(vals < 0.0) | (vals > 1.0)][0])
+    if (arr < 0.0).any() or (arr > 1.0).any():
+        bad = float(arr[(arr < 0.0) | (arr > 1.0)][0])
         raise RangeError(f"entry {bad!r} outside [0, 1]")
     gap = np.abs(arr + arr.T - 1.0)
-    gap[diag] = 0.0
     if (gap > COMPLEMENT_ATOL).any():
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         raise ComplementarityError(
@@ -122,11 +121,11 @@ def validate_matrix(raw) -> ComparisonMatrix:
         )
     np.fill_diagonal(arr, 0.0)
     arr.setflags(write=False)
-    deterministic = bool(np.all((vals == 0.0) | (vals == 1.0)))
-    xi = float(vals[vals > 0.0].min())
+    deterministic = bool(np.all((arr == 0.0) | (arr == 1.0)))
+    xi = float(arr[arr > 0.0].min())
     return ComparisonMatrix(
         probs=arr,
-        n=side.bit_length() - 1,
+        n=arr.shape[0].bit_length() - 1,
         deterministic=deterministic,
         xi=xi,
     )

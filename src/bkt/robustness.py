@@ -27,17 +27,7 @@ from .errors import (
     ScaleError,
 )
 from .matrix import ComparisonMatrix, validate_matrix
-from .winprob import (
-    _as_draw,
-    _check_dims,
-    _check_player,
-    _leaf_order,
-    _leaf_stacks,
-    _reach,
-    _reach_adjoint,
-    _winner_levels,
-    win_probabilities,
-)
+from .winprob import _checked, _leaf_stacks, _reach, _reach_adjoint, _winner_levels
 
 # Corner-scan oracle: candidate sets of size <= 3 per unordered pair keep the
 # exhaustive product tractable only for very small instances.
@@ -163,9 +153,7 @@ def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     beta = wp - alpha * p.  The sum runs over unordered pairs {i, j} in
     lexicographic order.
     """
-    d = _as_draw(d)
-    _check_dims(m, d)
-    _check_player(m, player)
+    d = _checked(m, d, player)
     ((reach, slopes),) = _reach_chunks(m, np.array([canonicalize(d).leaves]), player)
     (alphas,) = slopes()
     base = reach[0, -1]
@@ -260,8 +248,9 @@ def worst_perturbation_witness(
 ) -> WorstPerturbationWitness:
     """Move each pair entry by eps against the sign of its slope.
 
-    Requires eps <= xi(P) so no entry leaves [0, 1].  The result realizes
-    the first-order drop up to O(eps^2).
+    Requires eps <= xi(P), so an entry leaves [0, 1] only by the 1e-9
+    complement tolerance, and such an entry is clipped back.  The result
+    realizes the first-order drop up to O(eps^2).
     """
     _check_eps(eps)
     if eps > m.xi:
@@ -269,7 +258,9 @@ def worst_perturbation_witness(
     c = report.columns
     down = (c.alpha > 0.0) & (c.p > 0.0)
     up = ~down & (c.alpha < 0.0) & (c.p < 1.0)
-    new = np.where(down, c.p - eps, np.where(up, c.p + eps, c.p))
+    # p - eps >= 0 as eps <= xi <= p, but p + eps may pass 1 by as much as
+    # the complement tolerance, so a raised entry is clipped at 1
+    new = np.where(down, c.p - eps, np.where(up, np.minimum(c.p + eps, 1.0), c.p))
     arr = m.probs.copy()
     arr[c.i - 1, c.j - 1] = new
     arr[c.j - 1, c.i - 1] = 1.0 - new
@@ -325,9 +316,7 @@ def crucial_matches(m: ComparisonMatrix, d, player: int) -> CrucialMatchReport:
     Subtree winners are computed once; flipping one match then only needs
     the winners recomputed along its ancestor path.
     """
-    d = _as_draw(d)
-    _check_dims(m, d)
-    _check_player(m, player)
+    d = _checked(m, d, player)
     levels = _require_winner(m, d, player)
     probs = m.probs
     rounds = d.rounds
@@ -364,9 +353,7 @@ def _replay_with_flip(probs: np.ndarray, leaves0: list[int], fr: int, fnode: int
 
 def crucial_matches_oracle(m: ComparisonMatrix, d, player: int) -> CrucialMatchReport:
     """Naive O(N^2) check: replay the whole bracket once per flipped match."""
-    d = _as_draw(d)
-    _check_dims(m, d)
-    _check_player(m, player)
+    d = _checked(m, d, player)
     if m.size > 64:
         raise ScaleError("the replay oracle is limited to 64 players")
     levels = _require_winner(m, d, player)
@@ -396,37 +383,32 @@ def exact_worst_drop_oracle(
     scanning the per-pair interval endpoints (plus 0/1 when reachable) is
     exact.  Returns (drop, minimizing matrix).
     """
-    d = _as_draw(d)
-    _check_dims(m, d)
-    _check_player(m, player)
+    d = _checked(m, d, player)
     _check_eps(eps)
-    pair_list = list(itertools.combinations(range(1, m.size + 1), 2))
-    if len(pair_list) > CORNER_ORACLE_PAIR_LIMIT and not allow_large:
+    i, j = np.triu_indices(m.size, 1)
+    if len(i) > CORNER_ORACLE_PAIR_LIMIT and not allow_large:
         raise ScaleError(
-            f"{len(pair_list)} pairs exceed the corner-scan limit "
+            f"{len(i)} pairs exceed the corner-scan limit "
             f"{CORNER_ORACLE_PAIR_LIMIT}; pass allow_large=True to force"
         )
-    candidates = [
-        _corner_candidates(float(m.probs[i - 1, j - 1]), eps) for i, j in pair_list
-    ]
-    leaves = canonicalize(d).leaves
-    leaf = leaves.index(player)
-    base_wp = float(win_probabilities(m, d)[player - 1])
+    candidates = [_corner_candidates(p, eps) for p in m.probs[i, j].tolist()]
+    ((perm, pq),) = _leaf_stacks(m, np.array([canonicalize(d).leaves]))
+    pos = np.argsort(perm[0])  # leaf of each player
+    a, b, leaf = pos[i], pos[j], pos[player - 1]
+    base_wp = float(_reach(pq)[-1][0, leaf])
     best_wp = None
-    best_matrix = None
     corners = itertools.product(*candidates)
-    while True:
-        chunk = list(itertools.islice(corners, _CORNER_CHUNK))
-        if not chunk:
-            break
-        stack = np.repeat(m.probs[None, :, :], len(chunk), axis=0)
-        for k, (i, j) in enumerate(pair_list):
-            col = np.array([c[k] for c in chunk])
-            stack[:, i - 1, j - 1] = col
-            stack[:, j - 1, i - 1] = 1.0 - col
-        wps = _reach(_leaf_order(stack, leaves)[1])[-1][:, leaf]
+    while chunk := list(itertools.islice(corners, _CORNER_CHUNK)):
+        # each corner's entries written into its copy of the leaf-ordered matrix
+        vals = np.array(chunk)
+        stack = np.repeat(pq, len(vals), axis=0)
+        stack[:, a, b] = vals
+        stack[:, b, a] = 1.0 - vals
+        wps = _reach(stack)[-1][:, leaf]
         k = int(np.argmin(wps))
         if best_wp is None or wps[k] < best_wp:
-            best_wp = float(wps[k])
-            best_matrix = stack[k].copy()
-    return base_wp - best_wp, validate_matrix(best_matrix)
+            best_wp, best = float(wps[k]), vals[k]
+    arr = m.probs.copy()
+    arr[i, j] = best
+    arr[j, i] = 1.0 - best
+    return base_wp - best_wp, validate_matrix(arr)

@@ -113,8 +113,10 @@ def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> N
             raise RuntimeError("witness fails re-verification of its drop coefficient")
 
 
-def _scores(req: SolveRequest, rows: np.ndarray) -> list[tuple]:
-    """(score, ok, wp, s) of each canonical row, up to the first that is ok.
+def _scores(req: SolveRequest, rows: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """(scores, hit) of the canonical rows up to and including the first
+    that is ok: scores is (2, k), each row's (primary, secondary) score, and
+    hit is the ok row's (wp, s), or None when no row is ok.
 
     The score is lexicographic, larger is better, for hill-climbing.  Its
     primary part measures progress toward the winning condition: rounds
@@ -125,23 +127,28 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> list[tuple]:
     first ok row is evaluated.
     """
     m, target, bound = req.matrix, req.wp_target, req.drop_bound
-    out = []
+    out = [np.empty((2, 0))]
     for reach, slopes in _reach_chunks(m, rows, req.player):
+        wp = reach[:, -1]
+        score = np.empty((2, len(wp)))
         if req.problem in ("TFP", "RTFP"):
-            primaries = reach[:, 1:].sum(axis=1).tolist()
+            score[0] = reach[:, 1:].sum(axis=1)
         else:
-            primaries = np.minimum(reach[:, -1], target).tolist()
-        meets = reach[:, -1] >= target - _WP_ATOL
-        if bound is not None and meets.any():
-            drops = iter(_drop_coefficients(m, slopes(meets)).tolist())
-        for wp, primary, ok in zip(reach[:, -1].tolist(), primaries, meets.tolist()):
-            s = next(drops) if ok and bound is not None else None
-            ok = ok and (s is None or s <= bound + _WP_ATOL)
-            secondary = 0.0 if bound is None else -s if s is not None else -np.inf
-            out.append(((primary, secondary), ok, wp, s))
-            if ok:
-                return out
-    return out
+            score[0] = np.minimum(wp, target)
+        ok = wp >= target - _WP_ATOL
+        s = np.full(len(wp), np.inf)  # no drop coefficient: the secondary is -inf
+        if bound is not None:
+            if ok.any():
+                s[ok] = _drop_coefficients(m, slopes(ok))
+            ok &= s <= bound + _WP_ATOL
+        score[1] = 0.0 if bound is None else -s
+        (hits,) = np.nonzero(ok)
+        if len(hits):
+            k = hits[0]
+            out.append(score[:, :k + 1])
+            return np.hstack(out), (float(wp[k]), None if bound is None else float(s[k]))
+        out.append(score)
+    return np.hstack(out), None
 
 
 def _all_rows(m: ComparisonMatrix, caller: str) -> np.ndarray:
@@ -153,13 +160,13 @@ def _all_rows(m: ComparisonMatrix, caller: str) -> np.ndarray:
 
 def _solve_exact(req: SolveRequest) -> SolveResult:
     rows = _all_rows(req.matrix, "the exact scan")
-    scores = _scores(req, rows)
-    _, ok, wp, s = scores[-1]
-    if not ok:
+    scores, hit = _scores(req, rows)
+    if hit is None:
         return SolveResult(False, None, None, None, len(rows), True)
-    d = Draw(tuple(rows[len(scores) - 1].tolist()))
-    _verify_witness(req, d, wp, s)
-    return SolveResult(True, d, wp, s, len(scores), True)
+    k = scores.shape[1]
+    d = Draw(tuple(rows[k - 1].tolist()))
+    _verify_witness(req, d, *hit)
+    return SolveResult(True, d, *hit, k, True)
 
 
 @functools.cache
@@ -205,17 +212,16 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
             if key not in seen:
                 fresh.setdefault(key, k)
         at = list(fresh.values())
-        scores = _scores(req, rows[at]) if at else []
-        lo, hi = len(seen), len(seen) + len(scores)
+        scores, hit = _scores(req, rows[at])
+        lo, hi = len(seen), len(seen) + scores.shape[1]
         if hi > table.shape[1]:
             grown = np.empty((2, max(hi, 2 * table.shape[1])))
             grown[:, :lo] = table[:, :lo]
             table = grown
-        table[:, lo:hi] = np.array([score for score, *_ in scores]).reshape(-1, 2).T
+        table[:, lo:hi] = scores
         seen.update(zip(fresh, range(lo, hi)))
-        if scores and scores[-1][1]:
-            _, _, wp, s = scores[-1]
-            return None, (rows[at[len(scores) - 1]], wp, s)
+        if hit is not None:
+            return None, (rows[at[hi - lo - 1]], *hit)
         return [seen[key] for key in keys], None
 
     def found(row, wp, s):

@@ -25,24 +25,21 @@ OUTCOME_ENUMERATION_LIMIT = 16
 _CHUNK_CELLS = 1 << 16  # matrix cells per _reach call; bounds a batch's memory
 
 
-def _as_draw(d) -> Draw:
-    return d if isinstance(d, Draw) else Draw(tuple(d))
-
-
-def _check_dims(m: ComparisonMatrix, d: Draw) -> None:
-    if m.size != d.size:
-        raise DimensionMismatch(f"matrix has {m.size} players, draw has {d.size}")
-
-
 def _check_player(m: ComparisonMatrix, player) -> None:
     if isinstance(player, bool) or not isinstance(player, int) or not 1 <= player <= m.size:
         raise ParameterError(f"player must be an integer in 1..{m.size}, got {player!r}")
 
 
-def _leaf_order(stack: np.ndarray, leaves: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, stack permuted into leaf order) for a (B, N, N) stack and one draw."""
-    perm = np.asarray(leaves, dtype=np.intp) - 1
-    return perm, stack[:, perm[:, None], perm]
+def _checked(m: ComparisonMatrix, d, *player) -> Draw:
+    """d as a Draw, after the checks every evaluator makes, in this order:
+    the leaves, the draw's size against m's, then the player if one is
+    passed (a passed None is checked, and rejected, like any other)."""
+    d = d if isinstance(d, Draw) else Draw(tuple(d))
+    if m.size != d.size:
+        raise DimensionMismatch(f"matrix has {m.size} players, draw has {d.size}")
+    for p in player:
+        _check_player(m, p)
+    return d
 
 
 def _leaf_stacks(m: ComparisonMatrix, rows: np.ndarray):
@@ -151,8 +148,7 @@ class ReachTable:
 
 def reach_table(m: ComparisonMatrix, d) -> ReachTable:
     """Full reach table of C(P, d), keeping d's literal tree layout."""
-    d = _as_draw(d)
-    _check_dims(m, d)
+    d = _checked(m, d)
     ((_, pq),) = _leaf_stacks(m, np.array([d.leaves]))
     levels = _reach(pq)
     return ReachTable(leaves=d.leaves, levels=tuple(level[0] for level in levels))
@@ -164,13 +160,12 @@ def win_probabilities(m: ComparisonMatrix, d) -> np.ndarray:
     The canonical representative of the draw is evaluated, so equivalent
     draws give bit-identical results.
     """
-    return reach_table(m, canonicalize(_as_draw(d))).root_distribution()
+    return reach_table(m, canonicalize(d)).root_distribution()
 
 
 def winner(m: ComparisonMatrix, d) -> int:
     """Winner of a deterministic tournament, in O(N) match lookups."""
-    d = _as_draw(d)
-    _check_dims(m, d)
+    d = _checked(m, d)
     if not m.deterministic:
         raise NotDeterministic("winner is defined only for 0/1 matrices")
     return _winner_levels(m, d)[-1][0] + 1
@@ -193,8 +188,7 @@ def outcome_win_distribution(m: ComparisonMatrix, d) -> np.ndarray:
     played out match by match and contributes the product of its per-match
     probabilities.
     """
-    d = _as_draw(d)
-    _check_dims(m, d)
+    d = _checked(m, d)
     N = m.size
     if N > OUTCOME_ENUMERATION_LIMIT:
         raise ScaleError(

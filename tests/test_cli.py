@@ -271,6 +271,22 @@ def test_drop_witness_needs_eps(capsys, hard2, ident4):
     assert doc["error"]["kind"] == "ParameterError"
 
 
+def test_drop_witness_at_the_validity_bound_stays_in_range(capsys, tmp_path):
+    # the entries sum to 1 + 5e-10, inside the complement tolerance, so
+    # raising P[1,2] by eps = xi would take it past 1
+    src = write_json(tmp_path / "m.json", {"matrix": [[None, 0.7], [0.3000000005, None]]})
+    draw = write_json(tmp_path / "d.json", {"leaves": [1, 2]})
+    code, doc = run_json(capsys, "drop", "--matrix", src, "--draw", draw,
+                         "--player", "2", "--eps", "0.3000000005", "--witness")
+    assert code == 0
+    assert doc["result"]["validity_bound"] == 0.3000000005
+    before = np.array([[np.nan, 0.7], [0.3000000005, np.nan]])
+    after = np.array(doc["result"]["witness"]["matrix"]["matrix"], dtype=float)
+    off = ~np.isnan(before)
+    assert ((0.0 <= after[off]) & (after[off] <= 1.0)).all()
+    assert (np.abs(after[off] - before[off]) <= 0.3000000005).all()
+
+
 def test_drop_checks_its_arguments_before_reading_inputs(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     code, doc = run_json(capsys, "drop", "--matrix", missing, "--draw", missing,

@@ -12,12 +12,14 @@ from bkt import (
     DECREASE,
     HOLD,
     INCREASE,
+    DimensionMismatch,
     EpsilonTooLarge,
     NonpositiveEpsilon,
     NotDeterministic,
     NotWinner,
     PairSensitivity,
     ParameterError,
+    PermutationError,
     ScaleError,
     canonicalize,
     crucial_matches,
@@ -27,6 +29,8 @@ from bkt import (
     exact_worst_drop_oracle,
     gen_hard,
     gen_unbalanced,
+    outcome_win_distribution,
+    reach_table,
     sensitivity,
     validate_matrix,
     win_probabilities,
@@ -366,6 +370,14 @@ def test_witness_respects_validity_bound():
             worst_perturbation_witness(rep, m, eps)
 
 
+def test_witness_clips_an_entry_the_complement_tolerance_lets_pass_one():
+    # P[1,2] + P[2,1] = 1 + 5e-10, so raising P[1,2] by xi overshoots 1
+    m = validate_matrix([[None, 0.7], [0.3000000005, None]])
+    w = worst_perturbation_witness(sensitivity(m, (1, 2), 2), m, m.xi)
+    assert w.directions == {(1, 2): INCREASE}
+    assert w.matrix.probs.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+
 def test_witness_never_helps_the_player():
     rng = np.random.default_rng(77)
     for _ in range(20):
@@ -532,3 +544,28 @@ def test_drop_coefficient_without_the_report_equals_the_reports(size):
             got = drop_coefficients(m, rows, player).tolist()
             assert got == [sensitivity(m, tuple(row), player).drop_coefficient
                            for row in rows.tolist()]
+
+
+@pytest.mark.parametrize("evaluate, rest", [
+    (reach_table, None),
+    (winner, None),
+    (outcome_win_distribution, None),
+    (sensitivity, ()),
+    (crucial_matches, ()),
+    (crucial_matches_oracle, ()),
+    (exact_worst_drop_oracle, (-1.0,)),  # a bad eps too, checked after the player
+])
+def test_evaluators_check_leaves_then_size_then_player(evaluate, rest):
+    m = gen_hard(2)  # 4 players, 0/1, player 1 wins the identity draw
+
+    def call(leaves, player):
+        return evaluate(m, leaves) if rest is None else evaluate(m, leaves, player, *rest)
+
+    with pytest.raises(PermutationError):
+        call((1, 1), 0)
+    with pytest.raises(DimensionMismatch):
+        call((2, 1), 0)
+    if rest is not None:
+        for player in (0, 5, True, 1.0, None):
+            with pytest.raises(ParameterError):
+                call((1, 2, 3, 4), player)

@@ -515,11 +515,12 @@ def test_scores_take_slopes_a_chunk_at_a_time_up_to_the_first_ok_row(monkeypatch
         return adjoint(pq, levels, leaf)
 
     monkeypatch.setattr(robustness, "_reach_adjoint", counted)
-    out = _scores(SolveRequest("RPTFP", m, 1, q=0.0, s=float(drops.min())), rows)
-    assert [ok for _, ok, _, _ in out] == [False] * 100 + [True]
+    scores, hit = _scores(SolveRequest("RPTFP", m, 1, q=0.0, s=float(drops.min())), rows)
+    assert scores.shape == (2, 101)  # the 101st row is the first ok one
+    assert hit == (float(win_probabilities(m, tuple(rows[100]))[0]), float(drops.min()))
     assert batches == [16] * 7  # rows 0..111: nothing past the first ok row's chunk
-    assert [s for *_, s in out] == [sensitivity(m, tuple(r), 1).drop_coefficient
-                                    for r in rows[:101].tolist()]
+    assert (-scores[1]).tolist() == [sensitivity(m, tuple(r), 1).drop_coefficient
+                                     for r in rows[:101].tolist()]
 
 
 def test_solve_rejects_a_seed_that_is_not_a_nonnegative_integer():

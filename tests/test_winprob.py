@@ -18,7 +18,7 @@ from bkt import (
     winner,
     wp_by_outcome_enumeration,
 )
-from bkt.winprob import _leaf_order, _reach, _reach_adjoint
+from bkt.winprob import _reach, _reach_adjoint
 from helpers import random_deterministic, random_matrix, scramble
 
 
@@ -138,7 +138,8 @@ def test_kernel_batch_matches_outcome_enumeration():
         ms = [random_matrix(rng, size) for _ in range(4)]
         ms += [random_deterministic(rng, size) for _ in range(2)]
         d = tuple(int(x) + 1 for x in rng.permutation(size))
-        perm, pq = _leaf_order(np.stack([m.probs for m in ms]), d)
+        perm = np.array(d) - 1
+        pq = np.stack([m.probs for m in ms])[:, perm[:, None], perm]
         levels = _reach(pq)
         assert [lv.shape for lv in levels] == [(len(ms), size)] * size.bit_length()
         for row, m in zip(levels[-1], ms):
@@ -152,7 +153,8 @@ def test_stacked_adjoint_matches_row_by_row_calls():
         ms = [random_matrix(rng, size) for _ in range(4)]
         ms += [random_deterministic(rng, size) for _ in range(2)]
         d = tuple(int(x) + 1 for x in rng.permutation(size))
-        _, pq = _leaf_order(np.stack([m.probs for m in ms]), d)
+        perm = np.array(d) - 1
+        pq = np.stack([m.probs for m in ms])[:, perm[:, None], perm]
         levels = _reach(pq)
         leaf = rng.integers(0, size, len(ms))
         stacked = _reach_adjoint(pq, levels, leaf)
