@@ -157,6 +157,9 @@ def _print_json(obj) -> None:
 
 
 _CHUNK_CELLS = 1 << 16  # matrix cells joined into one write
+# up to this many distinct entries, a binary search over them finds each
+# cell's entry faster than np.unique's argsort of the whole table
+_FEW_ENTRIES = 64
 
 
 def _matrix_lines(m: ComparisonMatrix):
@@ -168,8 +171,15 @@ def _matrix_lines(m: ComparisonMatrix):
     out of memory leaves nothing written.
     """
     size = m.size
-    keys, at = np.unique(m.probs.view(np.int64), return_inverse=True)
-    at = at.reshape(size, size)  # the inverse is 1-D before numpy 2.0
+    bits = m.probs.view(np.int64).ravel()
+    ordered = np.sort(bits)
+    keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    del ordered  # before np.unique sorts a copy of its own
+    if len(keys) <= _FEW_ENTRIES:
+        at = np.searchsorted(keys, bits)
+    else:
+        at = np.unique(bits, return_inverse=True)[1]
+    at = at.reshape(size, size)
     np.fill_diagonal(at, len(keys))
     text = json.dumps(keys.view(np.float64).tolist(), separators=("\n", ""))
     words = np.empty(len(keys) + 1, dtype=object)  # np.array would probe each str

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .matrix import ComparisonMatrix
 from .robustness import _drop_coefficients, _reach_chunks, sensitivity
-from .winprob import _check_player, win_probabilities
+from .winprob import _check_player, _player_reach, _row_keys, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
 _WP_ATOL = 1e-9
@@ -122,33 +122,38 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> tuple[np.ndarray, tuple | No
     primary part measures progress toward the winning condition: rounds
     survived on 0/1 matrices (every reach level is then exactly 0 or 1),
     capped wp otherwise.  The secondary part rewards a low drop coefficient,
-    which is computed only for rows whose wp meets the target.  The rows go
-    a chunk at a time, with one slope pass per chunk, and no chunk past the
-    first ok row is evaluated.
+    which is computed only for rows whose wp meets the target.  Every row's
+    reach comes from the player's distinct opponent parts at once; the rows
+    that meet the target go a chunk at a time through one slope pass per
+    chunk, and no chunk past the first ok row is evaluated.
     """
     m, target, bound = req.matrix, req.wp_target, req.drop_bound
-    out = [np.empty((2, 0))]
-    for reach, slopes in _reach_chunks(m, rows, req.player):
-        wp = reach[:, -1]
-        score = np.empty((2, len(wp)))
-        if req.problem in ("TFP", "RTFP"):
-            score[0] = reach[:, 1:].sum(axis=1)
-        else:
-            score[0] = np.minimum(wp, target)
-        ok = wp >= target - _WP_ATOL
-        s = np.full(len(wp), np.inf)  # no drop coefficient: the secondary is -inf
-        if bound is not None:
-            if ok.any():
-                s[ok] = _drop_coefficients(m, slopes(ok))
-            ok &= s <= bound + _WP_ATOL
-        score[1] = 0.0 if bound is None else -s
-        (hits,) = np.nonzero(ok)
+    reach = _player_reach(m, rows, req.player)
+    wp = reach[:, -1]
+    scores = np.empty((2, len(wp)))
+    if req.problem in ("TFP", "RTFP"):
+        scores[0] = reach[:, 1:].sum(axis=1)
+    else:
+        scores[0] = np.minimum(wp, target)
+    (meet,) = np.nonzero(wp >= target - _WP_ATOL)
+    if bound is None:
+        scores[1] = 0.0
+        if len(meet):
+            k = meet[0]
+            return scores[:, :k + 1], (float(wp[k]), None)
+        return scores, None
+    scores[1] = -np.inf  # no drop coefficient
+    lo = 0
+    for _, slopes in _reach_chunks(m, rows[meet], req.player):
+        s = _drop_coefficients(m, slopes())
+        at = meet[lo:lo + len(s)]
+        lo += len(s)
+        scores[1, at] = -s
+        (hits,) = np.nonzero(s <= bound + _WP_ATOL)
         if len(hits):
-            k = hits[0]
-            out.append(score[:, :k + 1])
-            return np.hstack(out), (float(wp[k]), None if bound is None else float(s[k]))
-        out.append(score)
-    return np.hstack(out), None
+            k = at[hits[0]]
+            return scores[:, :k + 1], (float(wp[k]), float(s[hits[0]]))
+    return scores, None
 
 
 def _all_rows(m: ComparisonMatrix, caller: str) -> np.ndarray:
@@ -185,13 +190,6 @@ def _swaps(size: int) -> np.ndarray:
                 out.append(idx)
         b *= 2
     return np.array(out, dtype=np.intp)
-
-
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """One bytes key per row of leaf labels 1..N: each label less one, in a
-    byte up to 256 players and in two bytes above."""
-    codes = (rows - 1).astype(np.min_scalar_type(rows.shape[1] - 1))
-    return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel().tolist()
 
 
 def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult:
@@ -283,7 +281,7 @@ def best_draw(m: ComparisonMatrix, player: int) -> tuple[Draw, float]:
     """
     _check_player(m, player)
     rows = _all_rows(m, "best_draw")
-    wps = np.concatenate([reach[:, -1] for reach, _ in _reach_chunks(m, rows, player)])
+    wps = _player_reach(m, rows, player)[:, -1]
     k = int(np.argmax(wps))  # the first maximizer
     return Draw(tuple(rows[k].tolist())), float(wps[k])
 

@@ -6,7 +6,9 @@ stack of matrices permuted into leaf order, it computes the bottom-up
 rounds), merging all blocks of a level, for all B matrices, at once.
 `_reach_adjoint` is its reverse-mode pass: one backward sweep from a root
 leaf yields the slope of that leaf's winning probability in every pair's
-entry, in O(N^2) for all pairs.  A separate oracle enumerates all 2**(N-1)
+entry, in O(N^2) for all pairs.  `_player_reach` scores one player across a
+batch of draws from the distinct opponent parts they meet, one `_reach`
+call per part size.  A separate oracle enumerates all 2**(N-1)
 joint match outcomes instead and exists only to cross-check the kernel.
 """
 
@@ -81,6 +83,50 @@ def _reach(pq: np.ndarray) -> list[np.ndarray]:
         levels.append(levels[-1] * _sibling_sums(pq, levels[-1], half))
         half *= 2
     return levels
+
+
+def _row_keys(rows: np.ndarray, size: int | None = None) -> list[bytes]:
+    """One bytes key per row of a (B, k) array of labels 1..size (size
+    defaults to k): each label less one, in a byte up to 256 labels and in
+    two bytes above."""
+    codes = (rows - 1).astype(np.min_scalar_type((size or rows.shape[1]) - 1))
+    return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel().tolist()
+
+
+def _player_reach(m: ComparisonMatrix, rows: np.ndarray, player: int) -> np.ndarray:
+    """(B, rounds + 1) reach levels of the player in each canonical (B, N)
+    leaf row: column k is the chance that they win their first k rounds.
+
+    In round k + 1 the player v meets the winner of the sibling block of
+    size 2**k at their leaf, a part S whose internal matches no other round
+    reads.  So level k + 1 is level k times g = sum of P(v, u) wp_S(u) over
+    u in S, in the products and sums `_reach` takes, so the levels equal
+    the full kernel's bit for bit.  A part is a canonical label sequence,
+    and equal sequences have equal wp_S: each distinct part of the batch
+    is gathered and run through `_reach` once.
+    """
+    B, N = rows.shape
+    if not B:
+        return np.ones((0, N.bit_length()))
+    leaf = np.argmax(rows == player, axis=1)
+    levels = [np.ones(B)]
+    size = 1
+    while size < N:
+        start = (leaf // size ^ 1) * size
+        parts = rows[np.arange(B)[:, None], start[:, None] + np.arange(size)]
+        pv = m.probs[player - 1, parts - 1]
+        if size == 1:
+            g = pv[:, 0]
+        else:
+            index: dict[bytes, int] = {}
+            which = np.array([index.setdefault(key, len(index)) for key in _row_keys(parts, N)])
+            distinct = np.empty(len(index), dtype=np.intp)
+            distinct[which] = np.arange(B)  # a row of each part
+            wp = np.concatenate([_reach(pq)[-1] for _, pq in _leaf_stacks(m, parts[distinct])])
+            g = np.einsum("bj,bj->b", pv, wp[which])
+        levels.append(levels[-1] * g)
+        size *= 2
+    return np.stack(levels, axis=1)
 
 
 def _reach_adjoint(pq: np.ndarray, levels: list[np.ndarray], leaf: np.ndarray) -> np.ndarray:
@@ -215,5 +261,4 @@ def outcome_win_distribution(m: ComparisonMatrix, d) -> np.ndarray:
 
 def wp_by_outcome_enumeration(m: ComparisonMatrix, d, player: int) -> float:
     """Winning probability of one player by brute-force outcome enumeration."""
-    _check_player(m, player)
-    return float(outcome_win_distribution(m, d)[player - 1])
+    return float(outcome_win_distribution(m, _checked(m, d, player))[player - 1])

@@ -103,18 +103,25 @@ def test_perturb_prints_exactly_the_indented_json(capsys, tmp_path, source):
     assert out == json.dumps(want, indent=2) + "\n"
 
 
-def test_matrix_out_of_memory_writes_only_the_error(capsys, monkeypatch):
-    # the table-sized arrays are built before the first byte is written
+def test_matrix_out_of_memory_writes_only_the_error(capsys, monkeypatch, tmp_path):
+    # the table-sized arrays are built before the first byte is written; a
+    # table of two entries takes the binary search, one of 240 np.unique
     array_memory_error = type("_ArrayMemoryError", (MemoryError,), {})
 
     def too_big(*args, **kwargs):
         raise array_memory_error("Unable to allocate 8.00 MiB for an array")
 
-    monkeypatch.setattr(bkt.cli.np, "unique", too_big)
-    code, out = run(capsys, "gen", "hard", "10")
-    assert code == 2
-    assert json.loads(out) == {"error": {"kind": "MemoryError",
-                                         "message": "Unable to allocate 8.00 MiB for an array"}}
+    m = random_matrix(np.random.default_rng(16), 16, interior=True)
+    many = ["perturb", "--matrix", write_json(tmp_path / "m.json", m.to_json_dict()),
+            "--eps", "0.01"]
+    for fails, argv in (("sort", ["gen", "hard", "10"]), ("searchsorted", ["gen", "hard", "10"]),
+                        ("unique", many)):
+        with monkeypatch.context() as patch:
+            patch.setattr(bkt.cli.np, fails, too_big)
+            code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out) == {"error": {"kind": "MemoryError",
+                                             "message": "Unable to allocate 8.00 MiB for an array"}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,6 +485,14 @@ def test_oracle_drop(capsys, hard2, ident4):
     assert doc["result"]["worst_matrix"]["matrix"][0][1] == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("cmd", [["oracle", "wp"], ["drop"]])
+def test_a_short_draw_is_reported_before_a_bad_player(capsys, hard2, tmp_path, cmd):
+    pair = write_json(tmp_path / "pair.json", {"leaves": [1, 2]})
+    code, doc = run_json(capsys, *cmd, "--matrix", hard2, "--draw", pair, "--player", "0")
+    assert code == 2
+    assert doc["error"]["kind"] == "DimensionMismatch"
+
+
 def test_oracle_drop_needs_eps(capsys, hard2, ident4):
     code, doc = run_json(capsys, "oracle", "drop", "--matrix", hard2,
                          "--draw", ident4, "--player", "1")
@@ -698,9 +713,12 @@ def _matrices(draw):
 
 
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
-@given(_matrices(), st.sampled_from([1, 5, 64, bkt.cli._CHUNK_CELLS]))
-def test_matrix_lines_match_indented_json(m, chunk_cells):
-    with mock.patch.object(bkt.cli, "_CHUNK_CELLS", chunk_cells):
+@given(_matrices(), st.sampled_from([1, 5, 64, bkt.cli._CHUNK_CELLS]),
+       st.sampled_from([0, bkt.cli._FEW_ENTRIES, 1 << 13]))
+def test_matrix_lines_match_indented_json(m, chunk_cells, few_entries):
+    # few_entries 0 takes np.unique for every table, 1 << 13 the binary search
+    with mock.patch.object(bkt.cli, "_CHUNK_CELLS", chunk_cells), \
+            mock.patch.object(bkt.cli, "_FEW_ENTRIES", few_entries):
         text = "".join(_matrix_lines(m))
     assert text == json.dumps(m.to_json_dict(), indent=2)
 

@@ -36,6 +36,7 @@ from bkt import (
     win_probabilities,
     winner,
     worst_perturbation_witness,
+    wp_by_outcome_enumeration,
 )
 from bkt.robustness import _drop_coefficients, _reach_chunks
 from helpers import (
@@ -554,6 +555,7 @@ def test_drop_coefficient_without_the_report_equals_the_reports(size):
     (crucial_matches, ()),
     (crucial_matches_oracle, ()),
     (exact_worst_drop_oracle, (-1.0,)),  # a bad eps too, checked after the player
+    (wp_by_outcome_enumeration, ()),
 ])
 def test_evaluators_check_leaves_then_size_then_player(evaluate, rest):
     m = gen_hard(2)  # 4 players, 0/1, player 1 wins the identity draw

@@ -18,7 +18,11 @@ from bkt import (
     winner,
     wp_by_outcome_enumeration,
 )
-from bkt.winprob import _reach, _reach_adjoint
+import bkt.winprob
+from bkt.draws import _canon_rows
+from bkt.robustness import _reach_chunks
+from bkt.solvers import _swaps
+from bkt.winprob import _player_reach, _reach, _reach_adjoint
 from helpers import random_deterministic, random_matrix, scramble
 
 
@@ -162,6 +166,60 @@ def test_stacked_adjoint_matches_row_by_row_calls():
         for b in range(len(ms)):
             one = _reach_adjoint(pq[b:b + 1], [lv[b:b + 1] for lv in levels], leaf[b:b + 1])
             assert np.array_equal(stacked[b:b + 1], one)
+
+
+def neighbourhood(rng, size):
+    """A random draw's block-swap neighbours, then as many random draws."""
+    rows = (rng.permutation(size) + 1)[_swaps(size)]
+    rows = np.concatenate([rows, [rng.permutation(size) + 1 for _ in range(len(rows))]])
+    return _canon_rows(rows)
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32, 64, 512])
+def test_player_reach_equals_the_full_kernel_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    if size <= 64:
+        rows = neighbourhood(rng, size)
+    else:
+        # at 512 players a part's labels take two bytes each: player 1 meets
+        # (3, 4) in one row and (3, 260) in the other, whose labels agree
+        # in their low bytes
+        rows = np.tile(np.arange(1, size + 1), (8, 1))
+        rows[1, [3, 259]] = 260, 4
+        rows[2:] = [rng.permutation(size) + 1 for _ in range(6)]
+        rows = _canon_rows(rows)
+    for m in (random_matrix(rng, size, interior=True), random_deterministic(rng, size)):
+        for player in sorted({1, size // 2 + 1, size}):
+            got = _player_reach(m, rows, player)
+            want = np.concatenate([reach for reach, _ in _reach_chunks(m, rows, player)])
+            assert got.shape == (len(rows), size.bit_length())
+            assert got.tobytes() == want.tobytes()
+            assert _player_reach(m, rows[:0], player).shape == (0, size.bit_length())
+
+
+def test_player_reach_evaluates_each_distinct_part_once(monkeypatch):
+    rng = np.random.default_rng(32)
+    m = random_matrix(rng, 32, interior=True)
+    rows = _canon_rows((rng.permutation(32) + 1)[_swaps(32)])
+    player = int(rng.integers(1, 33))
+    parts = {}  # part size: the distinct opponent parts of the player
+    for row in rows.tolist():
+        t = row.index(player)
+        for k in range(5):
+            start = (t >> k ^ 1) << k
+            parts.setdefault(1 << k, set()).add(tuple(row[start:start + (1 << k)]))
+    evaluated = {}
+    reach = bkt.winprob._reach
+
+    def counted(pq):
+        evaluated[pq.shape[1]] = evaluated.get(pq.shape[1], 0) + len(pq)
+        return reach(pq)
+
+    monkeypatch.setattr(bkt.winprob, "_reach", counted)
+    _player_reach(m, rows, player)
+    # a part of one player is its P(v, u) alone
+    assert evaluated == {size: len(found) for size, found in parts.items() if size > 1}
+    assert sum(evaluated.values()) < len(rows) * 5 / 2
 
 
 @settings(max_examples=30, deadline=None)
