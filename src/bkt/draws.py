@@ -18,8 +18,6 @@ from .errors import ParameterError, PermutationError, ScaleError
 # have 638 512 875 equivalence classes.
 ENUMERATION_LIMIT = 8
 
-_INT128_MAX = 2**127 - 1
-
 
 @dataclass(frozen=True, order=True)
 class Draw:
@@ -113,11 +111,12 @@ def count_draws(n: int) -> int:
     """Number of draw classes for 2**n players: (2**n)! / 2**(2**n - 1)."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    N = 1 << n
-    result = math.factorial(N) >> (N - 1)  # exactly divisible for N = 2**n
-    if result > _INT128_MAX:
+    # the counts rise with n and first pass 2**127 - 1 at n = 6, so refuse
+    # those before any factorial is taken
+    if n >= 6:
         raise OverflowError(f"count for n={n} does not fit in a 128-bit integer")
-    return result
+    N = 1 << n
+    return math.factorial(N) >> (N - 1)  # exactly divisible for N = 2**n
 
 
 def enumerate_draws(n: int, *, allow_large: bool = False) -> Iterator[Draw]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+import operator
 import os
 from dataclasses import dataclass
 
@@ -19,21 +21,25 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_n(n: int, table_rounds: int | None = None) -> None:
-    """n must be a positive round count, and the float table of 2**table_rounds
-    players, if one is to be built, must fit in physical memory."""
-    if not isinstance(n, int) or n < 1:
+def _check_n(n: int, table_extra: int | None = None) -> int:
+    """n as an int, once checked to be a positive round count: an integer,
+    numpy's too, but not a bool.  With table_extra, the float table of
+    2**(n + table_extra) players must also fit in physical memory."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ParameterError(f"round count must be a positive integer, got {n!r}")
-    if table_rounds is None:
-        return
+    n = operator.index(n)
+    if table_extra is None:
+        return n
+    rounds = n + table_extra
     memory = _physical_memory()
-    # the table's 8*N*N bytes are 2**(2*table_rounds + 3): compare exponents,
-    # so that an absurd round count builds no huge integer
-    if memory is not None and 2 * table_rounds + 3 >= memory.bit_length():
+    # the table's 8*N*N bytes are 2**(2*rounds + 3): compare exponents, so
+    # that an absurd round count builds no huge integer
+    if memory is not None and 2 * rounds + 3 >= memory.bit_length():
         raise ScaleError(
-            f"a table of 2**{table_rounds} players needs 2**{2 * table_rounds + 3} bytes, "
+            f"a table of 2**{rounds} players needs 2**{2 * rounds + 3} bytes, "
             f"more than the {memory} bytes of physical memory"
         )
+    return n
 
 
 def gen_hard(n: int) -> ComparisonMatrix:
@@ -45,7 +51,7 @@ def gen_hard(n: int) -> ComparisonMatrix:
     seating order, in which the player at 0-based seat q >= 1 was spawned
     by the one at seat q - (q & -q).
     """
-    _check_n(n, table_rounds=n)
+    n = _check_n(n, table_extra=0)
     size = 1 << n
     arr = np.tri(size, k=-1)  # the right-seated player wins by default
     spawn = np.arange(1, size)
@@ -62,7 +68,7 @@ def gen_unbalanced(n: int) -> ComparisonMatrix:
     themselves the higher index wins.  Player 1 then wins many draws but
     every one of them leans on fragile matches.
     """
-    _check_n(n, table_rounds=n)
+    n = _check_n(n, table_extra=0)
     if n < 2:
         raise ParameterError("gen_unbalanced needs n >= 2")
     half = 1 << (n - 1)
@@ -89,7 +95,7 @@ def gen_bigsmall(n: int, p: float) -> BigSmallInstance:
     Matches inside either half are even coin flips; p must sit strictly
     between 0.5 and 1.
     """
-    _check_n(n, table_rounds=n)
+    n = _check_n(n, table_extra=0)
     if not 0.5 < p < 1.0:
         raise RangeError(f"p must lie strictly between 0.5 and 1, got {p}")
     size = 1 << n
@@ -115,7 +121,7 @@ def gen_threetier(n: int, eps: float) -> ComparisonMatrix:
     favourite against every big player (the rest).  Small players lose all
     cross-tier matches; medium beats big with probability 1/2 - eps/2.
     """
-    _check_n(n, table_rounds=n + 1)
+    n = _check_n(n, table_extra=1)
     if n < 2:
         raise ParameterError("gen_threetier needs n >= 2")
     if not 0.0 < eps < 0.5:
@@ -162,7 +168,7 @@ def hard_path_probability(k: int, eps: float) -> float:
     Exact recursion over rounds: the favourite's survival chance composes
     with itself once per round.
     """
-    _check_n(k)
+    k = _check_n(k)
     if not 0.0 <= eps < 0.5:
         raise RangeError(f"eps must lie in [0, 0.5), got {eps}")
     p = 1.0 - eps
@@ -177,7 +183,7 @@ def bigsmall_even_probability(k: int, eps: float) -> float:
     Exact recursion e_{k+1} = e_k + 2 e_k (1 - e_k) eps starting from
     e_1 = 1/2 + eps, where eps = p - 1/2.
     """
-    _check_n(k)
+    k = _check_n(k)
     if not 0.0 <= eps < 0.5:
         raise RangeError(f"eps must lie in [0, 0.5), got {eps}")
     e = 0.5 + eps

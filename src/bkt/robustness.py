@@ -23,6 +23,7 @@ from .errors import (
     NonpositiveEpsilon,
     NotDeterministic,
     NotWinner,
+    ParameterError,
     RangeError,
     ScaleError,
 )
@@ -111,35 +112,24 @@ def _contributions(alphas: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.n
     return c, np.cumsum(c, axis=-1)[..., -1] + 0.0
 
 
-def _slopes(pos, pq, levels, player: int, mask=slice(None)) -> np.ndarray:
-    """(b, C(N, 2)) slopes of the rows that mask selects from one chunk, pairs
-    i < j in lexicographic order.
+def _slopes(m: ComparisonMatrix, rows: np.ndarray, player: int):
+    """(wp, alphas) per _leaf_stacks chunk of a (B, N) array of leaf rows: the
+    player's (b,) winning probability and (b, C(N, 2)) slopes, pairs i < j in
+    lexicographic order.
 
-    pos is each row's leaf of every player, pq the matrix in each row's leaf
-    order, levels its forward pass.  One adjoint pass gives every pair's
-    slope alpha at once: wp is affine in each pair's entry, so the
-    derivative is the exact slope.
+    One adjoint pass on the chunk's forward pass gives every pair's slope
+    alpha at once: wp is affine in each pair's entry, so the derivative is
+    the exact slope.  A caller that reduces each chunk before it takes the
+    next keeps its memory within one chunk.
     """
-    pos, pq, levels = pos[mask], pq[mask], [level[mask] for level in levels]
-    i, j = np.triu_indices(pq.shape[1], 1)
-    alphas = _reach_adjoint(pq, levels, pos[:, player - 1])
-    return alphas[np.arange(len(pos))[:, None], pos[:, i], pos[:, j]]
-
-
-def _reach_chunks(m: ComparisonMatrix, rows: np.ndarray, player: int):
-    """(reach, slopes) per _leaf_stacks chunk of a (B, N) array of leaf rows.
-
-    reach is (b, rounds + 1): the chance that the player wins their first k
-    rounds.  slopes(mask) runs _slopes on the chunk's own forward pass, so a
-    caller that reduces each chunk before it takes the next keeps its memory
-    within one chunk.
-    """
+    i, j = np.triu_indices(rows.shape[1], 1)
     for perm, pq in _leaf_stacks(m, rows):
         levels = _reach(pq)
         pos = np.argsort(perm, axis=1)  # leaf of each player
+        at = np.arange(len(pos))
         leaf = pos[:, player - 1]
-        reach = np.stack([level[np.arange(len(pos)), leaf] for level in levels], axis=1)
-        yield reach, functools.partial(_slopes, pos, pq, levels, player)
+        alphas = _reach_adjoint(pq, levels, leaf)
+        yield levels[-1][at, leaf], alphas[at[:, None], pos[:, i], pos[:, j]]
 
 
 def _drop_coefficients(m: ComparisonMatrix, alphas: np.ndarray) -> np.ndarray:
@@ -154,9 +144,8 @@ def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     lexicographic order.
     """
     d = _checked(m, d, player)
-    ((reach, slopes),) = _reach_chunks(m, np.array([canonicalize(d).leaves]), player)
-    (alphas,) = slopes()
-    base = reach[0, -1]
+    ((wp, alphas),) = _slopes(m, np.array([canonicalize(d).leaves]), player)
+    base, alphas = wp[0], alphas[0]
     rows, cols = np.triu_indices(m.size, 1)
     ps = m.probs[rows, cols]
     contributions, s = _contributions(alphas, ps)
@@ -190,6 +179,8 @@ class DropEstimate:
 
 
 def _check_eps(eps: float) -> None:
+    if isinstance(eps, bool):
+        raise ParameterError(f"eps must be a number, got {eps!r}")
     if not eps > 0.0:  # also rejects NaN
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
     if eps > 1.0:  # also rejects inf, and keeps S * eps finite

@@ -5,7 +5,10 @@ outright win (TFP), reach a winning-probability threshold (PTFP), and the
 robust variants that additionally cap the drop coefficient (RTFP, RPTFP).
 Small instances are scanned exhaustively over canonical draws; larger ones
 fall back to a restarted local search over block swaps.  Both score their
-candidates in batches: one `_reach` call evaluates a whole stack of draws.
+candidates in batches: `_player_reach` gives a whole batch's winning
+probabilities from the target player's distinct opponent parts, and the
+robust problems take the drop coefficients of the rows that meet the target
+from `_slopes`, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     ScaleError,
 )
 from .matrix import ComparisonMatrix
-from .robustness import _drop_coefficients, _reach_chunks, sensitivity
+from .robustness import _drop_coefficients, _slopes, sensitivity
 from .winprob import _check_player, _player_reach, _row_keys, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
@@ -123,9 +126,10 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> tuple[np.ndarray, tuple | No
     survived on 0/1 matrices (every reach level is then exactly 0 or 1),
     capped wp otherwise.  The secondary part rewards a low drop coefficient,
     which is computed only for rows whose wp meets the target.  Every row's
-    reach comes from the player's distinct opponent parts at once; the rows
-    that meet the target go a chunk at a time through one slope pass per
-    chunk, and no chunk past the first ok row is evaluated.
+    reach comes from `_player_reach`, the player's distinct opponent parts,
+    at once; the rows that meet the target go through `_slopes` a chunk at a
+    time, one forward and one adjoint pass per chunk, and no chunk past the
+    first ok row is evaluated.
     """
     m, target, bound = req.matrix, req.wp_target, req.drop_bound
     reach = _player_reach(m, rows, req.player)
@@ -144,8 +148,8 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> tuple[np.ndarray, tuple | No
         return scores, None
     scores[1] = -np.inf  # no drop coefficient
     lo = 0
-    for _, slopes in _reach_chunks(m, rows[meet], req.player):
-        s = _drop_coefficients(m, slopes())
+    for _, alphas in _slopes(m, rows[meet], req.player):
+        s = _drop_coefficients(m, alphas)
         at = meet[lo:lo + len(s)]
         lo += len(s)
         scores[1, at] = -s
@@ -311,18 +315,13 @@ def enumerate_delta_optimal(
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     _check_player(m, player)
     rows = _all_rows(m, "enumerate_delta_optimal")
-    chunks = list(_reach_chunks(m, rows, player))  # EXACT_LIMIT keeps them small
-    top = max(reach[:, -1].max() for reach, _ in chunks)
-    entries, lo = [], 0
-    for reach, slopes in chunks:
-        wps = reach[:, -1]
-        near = wps >= top - delta - _WP_ATOL
-        drops = _drop_coefficients(m, slopes(near)).tolist()
-        for leaves, wp, s in zip(rows[lo:lo + len(wps)][near].tolist(), wps[near].tolist(), drops):
-            entries.append(DeltaOptimalEntry(Draw(tuple(leaves)), wp, s))
-        lo += len(wps)
-    entries.sort(key=lambda e: (e.drop_coefficient, -e.wp, e.draw.leaves))
-    return entries
+    wps = _player_reach(m, rows, player)[:, -1]
+    near = wps >= wps.max() - delta - _WP_ATOL
+    rows, wps = rows[near], wps[near]
+    drops = np.concatenate([_drop_coefficients(m, a) for _, a in _slopes(m, rows, player)])
+    entries = (DeltaOptimalEntry(Draw(tuple(leaves)), wp, s)
+               for leaves, wp, s in zip(rows.tolist(), wps.tolist(), drops.tolist()))
+    return sorted(entries, key=lambda e: (e.drop_coefficient, -e.wp, e.draw.leaves))
 
 
 def most_robust_winning_draw(

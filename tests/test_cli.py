@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -458,12 +459,12 @@ def test_player_out_of_range_is_a_json_error(hard2, ident4, player, cmd):
 
 
 def test_closed_stdout_exits_without_traceback():
-    proc = subprocess.Popen([sys.executable, "-m", "bkt.cli", "gen", "hard", "8"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
-    proc.stdout.read(16)
-    proc.stdout.close()  # like `| head -c 16`: the reader leaves early
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2
+    with subprocess.Popen([sys.executable, "-m", "bkt.cli", "gen", "hard", "8"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env()) as proc:
+        proc.stdout.read(16)
+        proc.stdout.close()  # like `| head -c 16`: the reader leaves early
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
 
 
@@ -513,6 +514,21 @@ def test_draws_count_overflow(capsys):
     code, doc = run_json(capsys, "draws", "count", "6")
     assert code == 2
     assert doc["error"]["kind"] == "OverflowError"
+
+
+def test_draws_count_refuses_without_a_huge_factorial(capsys, monkeypatch):
+    sizes = []
+    factorial = math.factorial
+
+    def recorded(k):
+        sizes.append(k)
+        return factorial(k)
+
+    monkeypatch.setattr(math, "factorial", recorded)
+    code, doc = run_json(capsys, "draws", "count", "40")
+    assert code == 2
+    assert doc["error"]["kind"] == "OverflowError"
+    assert max(sizes, default=0) <= 32
 
 
 def test_draws_list(capsys):

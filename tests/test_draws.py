@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ def test_counts_small():
 
 
 def test_count_formula():
-    import math
     for n in range(1, 6):
         size = 2 ** n
         assert count_draws(n) == math.factorial(size) // 2 ** (size - 1)
@@ -44,6 +44,24 @@ def test_count_overflows_beyond_128_bits():
     count_draws(5)  # still representable
     with pytest.raises(OverflowError):
         count_draws(6)
+    assert count_draws(5) <= 2**127 - 1 < math.factorial(64) >> 63
+
+
+def test_count_refuses_before_taking_a_huge_factorial(monkeypatch):
+    sizes = []
+    factorial = math.factorial
+
+    def recorded(k):
+        sizes.append(k)
+        return factorial(k)
+
+    monkeypatch.setattr(math, "factorial", recorded)
+    for n in (6, 40, 10**9):
+        with pytest.raises(OverflowError):
+            count_draws(n)
+    assert sizes == []
+    assert count_draws(5) == factorial(32) >> 31
+    assert sizes == [32]
 
 
 def test_enumerate_two_players():

@@ -58,6 +58,28 @@ def test_hard_rejects_bad_n():
         gen_hard(0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda n: gen_hard(n).probs.tolist(),
+    lambda n: gen_unbalanced(n).probs.tolist(),
+    lambda n: gen_bigsmall(n, 0.7).matrix.probs.tolist(),
+    lambda n: gen_threetier(n, 0.1).probs.tolist(),
+    lambda n: hard_path_probability(n, 0.1),
+    lambda n: bigsmall_even_probability(n, 0.1),
+])
+def test_round_counts_follow_one_integer_rule(build):
+    # numpy integers count as integers and bools do not, as for solve's seed
+    assert build(np.int64(2)) == build(2)
+    for n in (True, False, 2.0, "2", None, np.int64(0), np.float64(2.0)):
+        with pytest.raises(ParameterError):
+            build(n)
+
+
+def test_a_numpy_round_count_gives_plain_ints():
+    inst = gen_bigsmall(np.int64(3), 0.7)
+    assert type(inst.n) is int and inst.matrix.size == 8
+    assert inst.big == tuple(range(5, 9))
+
+
 # ------------------------------------------------------------ gen_unbalanced
 
 

@@ -38,7 +38,7 @@ from bkt import (
     worst_perturbation_witness,
     wp_by_outcome_enumeration,
 )
-from bkt.robustness import _drop_coefficients, _reach_chunks
+from bkt.robustness import _drop_coefficients, _slopes
 from helpers import (
     random_deterministic,
     random_matrix,
@@ -50,8 +50,7 @@ from helpers import (
 
 def drop_coefficients(m, rows, player):
     """(B,) drop coefficients of leaf rows, chunk by chunk, as the scans take them."""
-    chunks = _reach_chunks(m, rows, player)
-    return np.concatenate([_drop_coefficients(m, slopes()) for _, slopes in chunks])
+    return np.concatenate([_drop_coefficients(m, a) for _, a in _slopes(m, rows, player)])
 
 
 def all_even(size):
@@ -306,6 +305,20 @@ def test_drop_estimate_rejects_nonpositive_epsilon():
     for eps in (0.0, -0.1, float("nan")):
         with pytest.raises(NonpositiveEpsilon):
             drop_estimate(rep, eps)
+
+
+def test_a_bool_is_no_epsilon():
+    # True > 0.0 and True <= 1.0, so only the type tells it apart from 1
+    m = all_even(4)
+    rep = sensitivity(m, (1, 2, 3, 4), 1)
+    for eps in (True, False):
+        with pytest.raises(ParameterError):
+            drop_estimate(rep, eps)
+        with pytest.raises(ParameterError):
+            worst_perturbation_witness(rep, m, eps)
+        with pytest.raises(ParameterError):
+            exact_worst_drop_oracle(m, (1, 2, 3, 4), 1, eps)
+    assert drop_estimate(rep, 1).epsilon == 1
 
 
 def test_hard_instance_estimate_scales_with_crucial_count():

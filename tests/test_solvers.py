@@ -30,8 +30,9 @@ from bkt import (
 )
 from bkt import robustness
 from bkt.draws import _canon_rows
-from bkt.robustness import _reach_chunks
+from bkt.robustness import _slopes
 from bkt.solvers import _row_keys, _scores, _swaps
+from bkt.winprob import _player_reach
 from helpers import (
     random_deterministic,
     random_matrix,
@@ -492,8 +493,9 @@ def test_batched_winning_probabilities_equal_the_per_draw_ones(size):
     draws = [canonicalize(tuple(int(x) + 1 for x in rng.permutation(size))) for _ in range(150)]
     rows = np.array([d.leaves for d in draws])
     for player in (1, size):
-        wps = np.concatenate([reach[:, -1] for reach, _ in _reach_chunks(m, rows, player)])
-        assert wps.tolist() == [float(win_probabilities(m, d)[player - 1]) for d in draws]
+        want = [float(win_probabilities(m, d)[player - 1]) for d in draws]
+        assert _player_reach(m, rows, player)[:, -1].tolist() == want
+        assert np.concatenate([wp for wp, _ in _slopes(m, rows, player)]).tolist() == want
 
 
 def test_scores_take_slopes_a_chunk_at_a_time_up_to_the_first_ok_row(monkeypatch):

@@ -20,9 +20,8 @@ from bkt import (
 )
 import bkt.winprob
 from bkt.draws import _canon_rows
-from bkt.robustness import _reach_chunks
 from bkt.solvers import _swaps
-from bkt.winprob import _player_reach, _reach, _reach_adjoint
+from bkt.winprob import _leaf_stacks, _player_reach, _reach, _reach_adjoint
 from helpers import random_deterministic, random_matrix, scramble
 
 
@@ -168,6 +167,16 @@ def test_stacked_adjoint_matches_row_by_row_calls():
             assert np.array_equal(stacked[b:b + 1], one)
 
 
+def full_kernel_reach(m, rows, player):
+    """(B, rounds + 1) reach levels of the player from the whole bracket's
+    forward pass, read at their leaf."""
+    out = []
+    for perm, pq in _leaf_stacks(m, rows):
+        leaf = np.argmax(perm == player - 1, axis=1)
+        out.append(np.stack([level[np.arange(len(perm)), leaf] for level in _reach(pq)], axis=1))
+    return np.concatenate(out)
+
+
 def neighbourhood(rng, size):
     """A random draw's block-swap neighbours, then as many random draws."""
     rows = (rng.permutation(size) + 1)[_swaps(size)]
@@ -191,7 +200,7 @@ def test_player_reach_equals_the_full_kernel_bit_for_bit(size):
     for m in (random_matrix(rng, size, interior=True), random_deterministic(rng, size)):
         for player in sorted({1, size // 2 + 1, size}):
             got = _player_reach(m, rows, player)
-            want = np.concatenate([reach for reach, _ in _reach_chunks(m, rows, player)])
+            want = full_kernel_reach(m, rows, player)
             assert got.shape == (len(rows), size.bit_length())
             assert got.tobytes() == want.tobytes()
             assert _player_reach(m, rows[:0], player).shape == (0, size.bit_length())
