@@ -10,7 +10,6 @@ not-found, 2 error (a JSON object {"error": {"kind", "message"}}).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import os
@@ -21,7 +20,9 @@ from pathlib import Path
 # bkt makes no BLAS call, yet numpy's OpenBLAS starts a thread pool on
 # import whose idle threads spin and burn CPU.  Load it with one thread
 # unless the user chose a count or numpy is loaded already, and leave
-# os.environ as it was found.
+# os.environ as it was found.  Every submodule but errors and matrix is
+# imported inside the command that runs it, so a job compiles and loads
+# only what it uses.
 _BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 _cap_blas = "numpy" not in sys.modules and _BLAS_THREADS not in os.environ
 if _cap_blas:
@@ -32,23 +33,13 @@ finally:
     if _cap_blas:
         del os.environ[_BLAS_THREADS]
 
-from .draws import Draw, canonicalize, count_draws, draw_from_json_dict, enumerate_draws
 from .errors import BktError, ParameterError
-from .generators import gen_bigsmall, gen_hard, gen_threetier, gen_unbalanced, uniform_perturbation
 from .matrix import ComparisonMatrix, matrix_from_json_dict
-from .robustness import (
-    crucial_matches,
-    crucial_matches_oracle,
-    drop_estimate,
-    exact_worst_drop_oracle,
-    sensitivity,
-    worst_perturbation_witness,
-)
-from .solvers import SolveRequest, solve
-from .winprob import _check_player, win_probabilities, wp_by_outcome_enumeration
 
 
 def _load(path: str, taken: set) -> tuple[object, str, str]:
+    import hashlib
+
     if path == "-":
         if "stdin" in taken:
             raise ParameterError("only one input may come from stdin")
@@ -78,7 +69,9 @@ def _load_matrix(path: str, taken: set, inputs: dict) -> ComparisonMatrix:
     return matrix_from_json_dict(obj)
 
 
-def _load_draw(path: str, taken: set, inputs: dict, warnings: list) -> Draw:
+def _load_draw(path: str, taken: set, inputs: dict, warnings: list):
+    from .draws import canonicalize, draw_from_json_dict
+
     obj, name, digest = _load(path, taken)
     inputs[name] = digest
     d = draw_from_json_dict(obj)
@@ -224,6 +217,8 @@ def _emit_report(args, inputs: dict, result: dict, warnings: list,
 
 
 def _cmd_gen(args) -> int:
+    from .generators import gen_bigsmall, gen_hard, gen_threetier, gen_unbalanced
+
     if args.family == "hard":
         m = gen_hard(args.n)
     elif args.family == "unbalanced":
@@ -237,6 +232,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    from .generators import uniform_perturbation
+
     taken, inputs = set(), {}
     m = _load_matrix(args.matrix, taken, inputs)
     _print_matrix(uniform_perturbation(m, args.eps), args.pretty)
@@ -244,6 +241,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_winprob(args) -> int:
+    from .winprob import _check_player, win_probabilities
+
     taken, inputs, warnings = set(), {}, []
     m = _load_matrix(args.matrix, taken, inputs)
     d = _load_draw(args.draw, taken, inputs, warnings)
@@ -263,6 +262,8 @@ def _cmd_winprob(args) -> int:
 
 
 def _cmd_drop(args) -> int:
+    from .robustness import drop_estimate, sensitivity, worst_perturbation_witness
+
     if args.witness and args.eps is None:
         raise ParameterError("--witness needs --eps")
     taken, inputs, warnings = set(), {}, []
@@ -293,6 +294,8 @@ def _cmd_drop(args) -> int:
 
 
 def _cmd_crucial(args) -> int:
+    from .robustness import crucial_matches, crucial_matches_oracle
+
     taken, inputs, warnings = set(), {}, []
     m = _load_matrix(args.matrix, taken, inputs)
     d = _load_draw(args.draw, taken, inputs, warnings)
@@ -308,6 +311,8 @@ def _cmd_crucial(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solvers import SolveRequest, solve
+
     taken, inputs, warnings = set(), {}, []
     m = _load_matrix(args.matrix, taken, inputs)
     req = SolveRequest(
@@ -335,12 +340,16 @@ def _cmd_oracle(args) -> int:
     m = _load_matrix(args.matrix, taken, inputs)
     d = _load_draw(args.draw, taken, inputs, warnings)
     if args.quantity == "wp":
+        from .winprob import wp_by_outcome_enumeration
+
         wp = wp_by_outcome_enumeration(m, d, args.player)
         result = {"player": args.player, "wp": wp}
         lines = [f"player {args.player}: wp {wp:.6f} (outcome enumeration)"]
     else:
         if args.eps is None:
             raise ParameterError("oracle drop needs --eps")
+        from .robustness import exact_worst_drop_oracle
+
         drop, worst = exact_worst_drop_oracle(
             m, d, args.player, args.eps, allow_large=args.allow_large
         )
@@ -357,11 +366,15 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_draws(args) -> int:
     if args.action == "count":
+        from .draws import count_draws
+
         c = count_draws(args.n)
         _emit_report(args, {}, {"n": args.n, "count": c}, [], [str(c)])
         return 0
     if args.limit is not None and args.limit < 0:
         raise ParameterError(f"--limit must be nonnegative, got {args.limit}")
+    from .draws import enumerate_draws
+
     gen = enumerate_draws(args.n, allow_large=args.limit is not None or args.allow_large)
     if args.limit is not None:
         gen = itertools.islice(gen, args.limit)

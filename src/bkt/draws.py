@@ -12,7 +12,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import ParameterError, PermutationError, ScaleError
+from .errors import PermutationError, ScaleError, _check_rounds
 
 # Full enumeration beyond 8 players is an explicit opt-in: 16 players already
 # have 638 512 875 equivalence classes.
@@ -109,8 +109,7 @@ def draw_from_json_dict(obj) -> Draw:
 
 def count_draws(n: int) -> int:
     """Number of draw classes for 2**n players: (2**n)! / 2**(2**n - 1)."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = _check_rounds(n)
     # the counts rise with n and first pass 2**127 - 1 at n = 6, so refuse
     # those before any factorial is taken
     if n >= 6:
@@ -121,9 +120,7 @@ def count_draws(n: int) -> int:
 
 def enumerate_draws(n: int, *, allow_large: bool = False) -> Iterator[Draw]:
     """Yield every canonical draw in lexicographic order."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    N = 1 << n
+    N = 1 << _check_rounds(n)
     if N > ENUMERATION_LIMIT and not allow_large:
         raise ScaleError(
             f"enumeration of {N} players needs allow_large=True "

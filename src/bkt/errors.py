@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the round-count check
+that the generators and the draw counts share."""
+
+import numbers
+import operator
 
 
 class BktError(Exception):
@@ -52,3 +56,11 @@ class ParameterError(BktError):
 
 class NoWinningDraw(BktError):
     """No draw wins outright for the distinguished player."""
+
+
+def _check_rounds(n) -> int:
+    """n as an int, once checked to be a positive round count: an integer,
+    numpy's too, but not a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"round count must be a positive integer, got {n!r}")
+    return operator.index(n)

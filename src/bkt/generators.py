@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
-import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError, ScaleError
+from .errors import ParameterError, RangeError, ScaleError, _check_rounds
 from .matrix import ComparisonMatrix, validate_matrix
 
 
@@ -22,12 +20,10 @@ def _physical_memory() -> int | None:
 
 
 def _check_n(n: int, table_extra: int | None = None) -> int:
-    """n as an int, once checked to be a positive round count: an integer,
-    numpy's too, but not a bool.  With table_extra, the float table of
+    """n as an int, once checked to be a positive round count (see
+    errors._check_rounds).  With table_extra, the float table of
     2**(n + table_extra) players must also fit in physical memory."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ParameterError(f"round count must be a positive integer, got {n!r}")
-    n = operator.index(n)
+    n = _check_rounds(n)
     if table_extra is None:
         return n
     rounds = n + table_extra

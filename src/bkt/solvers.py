@@ -8,7 +8,8 @@ fall back to a restarted local search over block swaps.  Both score their
 candidates in batches: `_player_reach` gives a whole batch's winning
 probabilities from the target player's distinct opponent parts, and the
 robust problems take the drop coefficients of the rows that meet the target
-from `_slopes`, a chunk at a time.
+from `_slopes`, a chunk at a time.  `robustness` is imported only on the
+paths that need slopes, so TFP and PTFP never load it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     ScaleError,
 )
 from .matrix import ComparisonMatrix
-from .robustness import _drop_coefficients, _slopes, sensitivity
 from .winprob import _check_player, _player_reach, _row_keys, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
@@ -111,6 +111,8 @@ def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> N
     if abs(full - wp) > 1e-9 or full < req.wp_target - _WP_ATOL:
         raise RuntimeError("witness fails re-verification of its winning probability")
     if req.drop_bound is not None:
+        from .robustness import sensitivity
+
         s2 = sensitivity(req.matrix, d, req.player).drop_coefficient
         if s2 > req.drop_bound + _WP_ATOL:
             raise RuntimeError("witness fails re-verification of its drop coefficient")
@@ -146,6 +148,8 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> tuple[np.ndarray, tuple | No
             k = meet[0]
             return scores[:, :k + 1], (float(wp[k]), None)
         return scores, None
+    from .robustness import _drop_coefficients, _slopes
+
     scores[1] = -np.inf  # no drop coefficient
     lo = 0
     for _, alphas in _slopes(m, rows[meet], req.player):
@@ -318,6 +322,8 @@ def enumerate_delta_optimal(
     wps = _player_reach(m, rows, player)[:, -1]
     near = wps >= wps.max() - delta - _WP_ATOL
     rows, wps = rows[near], wps[near]
+    from .robustness import _drop_coefficients, _slopes
+
     drops = np.concatenate([_drop_coefficients(m, a) for _, a in _slopes(m, rows, player)])
     entries = (DeltaOptimalEntry(Draw(tuple(leaves)), wp, s)
                for leaves, wp, s in zip(rows.tolist(), wps.tolist(), drops.tolist()))

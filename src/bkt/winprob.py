@@ -57,15 +57,32 @@ def _sibling_sums(pq: np.ndarray, r: np.ndarray, half: int) -> np.ndarray:
     """s[b, t] = sum of pq[b, t, u] * r[b, u] over u in the sibling half of t.
 
     Blocks have size 2*half; the diagonal blocks of every stack entry are
-    read through one strided view, so a whole level merges at once.
+    read through one strided view, so a whole level merges at once.  Up to
+    half = 2 a sum has one or two terms, which add alike in either order:
+    products and one add give einsum's bits, and the closing + 0.0 turns a
+    -0.0 sum into the +0.0 that einsum's accumulator gives.
     """
     B, N = r.shape
     nb = N // (2 * half)
-    blocks = np.diagonal(pq.reshape(B, nb, 2 * half, nb, 2 * half), axis1=1, axis2=3)
-    r = r.reshape(B, nb, 2 * half)
-    s = np.empty((B, nb, 2 * half))
-    s[:, :, :half] = np.einsum("bijk,bkj->bki", blocks[:, :half, half:], r[:, :, half:])
-    s[:, :, half:] = np.einsum("bijk,bkj->bki", blocks[:, half:, :half], r[:, :, :half])
+    s = np.empty((B, nb, 2, half))
+    if half > 2:
+        blocks = np.diagonal(pq.reshape(B, nb, 2 * half, nb, 2 * half), axis1=1, axis2=3)
+        r = r.reshape(B, nb, 2, half)
+        s[:, :, 0] = np.einsum("bijk,bkj->bki", blocks[:, :half, half:], r[:, :, 1])
+        s[:, :, 1] = np.einsum("bijk,bkj->bki", blocks[:, half:, :half], r[:, :, 0])
+        return s.reshape(B, N)
+    # cross[side, i, j, b, k]: row i of half `side` of block k against
+    # column j of the other half, and rs[side, j, b, k] that column's r;
+    # the (b, k) axes go last so each product runs along the blocks
+    halves = pq.reshape(B, nb, 2, half, nb, 2, half)[:, :, :, :, :, ::-1]
+    cross = np.diagonal(np.diagonal(halves, axis1=1, axis2=4), axis1=1, axis2=3)
+    cross = cross.transpose(4, 1, 2, 0, 3)
+    rs = r.reshape(B, nb, 2, half)[:, :, ::-1].transpose(2, 3, 0, 1)
+    out = s.transpose(2, 3, 0, 1)
+    np.multiply(cross[:, :, 0], rs[:, None, 0], out=out, order="C")
+    if half == 2:
+        np.add(out, cross[:, :, 1] * rs[:, None, 1], out=out, order="C")
+    s += 0.0
     return s.reshape(B, N)
 
 

@@ -105,6 +105,19 @@ def _stack_win_probabilities(stack, leaves):
     return out
 
 
+def einsum_sibling_sums(pq, r, half):
+    """`winprob._sibling_sums` with `einsum` at every level, frozen: the
+    kernel's explicit sums at half 1 and 2 must give its bits."""
+    B, N = r.shape
+    nb = N // (2 * half)
+    blocks = np.diagonal(pq.reshape(B, nb, 2 * half, nb, 2 * half), axis1=1, axis2=3)
+    r = r.reshape(B, nb, 2 * half)
+    s = np.empty((B, nb, 2 * half))
+    s[:, :, :half] = np.einsum("bijk,bkj->bki", blocks[:, :half, half:], r[:, :, half:])
+    s[:, :, half:] = np.einsum("bijk,bkj->bki", blocks[:, half:, :half], r[:, :, :half])
+    return s.reshape(B, N)
+
+
 def two_point_slopes(m, d, player):
     """Per-pair slope and intercept of the player's wp by two evaluations.
 

@@ -137,7 +137,7 @@ def test_gen_out_of_memory_is_a_json_error(capsys, monkeypatch, argv):
     def too_big(*args):
         raise array_memory_error("Unable to allocate 8.00 TiB for an array")
 
-    monkeypatch.setattr(bkt.cli, f"gen_{argv[1]}", too_big)
+    monkeypatch.setattr(bkt.generators, f"gen_{argv[1]}", too_big)
     code, doc = run_json(capsys, *argv)
     assert code == 2
     assert doc["error"] == {"kind": "MemoryError",

@@ -40,6 +40,23 @@ def test_count_rejects_nonpositive():
         count_draws(-1)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "2", None, np.float64(2.0)])
+def test_round_counts_follow_one_integer_rule(n):
+    # the generators' rule: integers, numpy's too, but no bool
+    with pytest.raises(ParameterError, match="round count must be a positive integer"):
+        count_draws(n)
+    with pytest.raises(ParameterError, match="round count must be a positive integer"):
+        enumerate_draws(n)
+
+
+def test_a_numpy_round_count_counts_and_lists_as_an_int():
+    assert count_draws(np.int64(3)) == count_draws(3) == 315
+    assert type(count_draws(np.int64(3))) is int
+    assert list(enumerate_draws(np.int64(3))) == list(enumerate_draws(3))
+    with pytest.raises(OverflowError):
+        count_draws(np.int64(6))
+
+
 def test_count_overflows_beyond_128_bits():
     count_draws(5)  # still representable
     with pytest.raises(OverflowError):

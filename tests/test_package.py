@@ -108,6 +108,67 @@ def test_a_swapped_submodule_function_is_not_kept_by_the_package(monkeypatch):
     assert "winner" not in vars(bkt)
 
 
+# ------------------------------------------- what each CLI command loads
+
+COMMANDS = ["gen", "perturb", "winprob", "drop", "crucial", "solve", "oracle", "draws"]
+SLOW = ["bkt.draws", "bkt.winprob", "bkt.robustness", "bkt.solvers", "hashlib"]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Paths of a 4-player 0/1 matrix file and a draw file."""
+    folder = tmp_path_factory.mktemp("inputs")
+    (folder / "m.json").write_text(json.dumps(bkt.gen_hard(2).to_json_dict()))
+    (folder / "d.json").write_text(json.dumps({"leaves": [1, 2, 3, 4]}))
+    return str(folder / "m.json"), str(folder / "d.json")
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["gen", "hard", "2"], 0, SLOW),
+    (["gen", "threetier", "2", "--eps", "0.1"], 0, SLOW),
+    (["perturb", "--matrix", "M", "--eps", "0.1"], 0, SLOW[:-1]),
+    (["solve", "tfp", "--matrix", "M", "--player", "1"], 0, ["bkt.robustness", "bkt.generators"]),
+    (["solve", "ptfp", "--matrix", "M", "--player", "1", "--q", "0.5", "--heuristic"], 0,
+     ["bkt.robustness", "bkt.generators"]),
+    (["winprob", "--matrix", "M", "--draw", "D"], 0,
+     ["bkt.robustness", "bkt.solvers", "bkt.generators"]),
+    (["draws", "count", "3"], 0, ["bkt.winprob", "bkt.solvers", "hashlib"]),
+], ids=["gen-hard", "gen-threetier", "perturb", "solve-tfp", "solve-ptfp", "winprob",
+        "draws-count"])
+def test_each_command_loads_only_what_it_runs(inputs, argv, code, absent):
+    argv = [{"M": inputs[0], "D": inputs[1]}.get(a, a) for a in argv]
+    got, numpy_at_import, loaded = _run(
+        "import contextlib, io, json, sys\n"
+        "import bkt.cli\n"
+        "numpy_at_import = 'numpy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = bkt.cli.main({argv!r})\n"
+        "print(json.dumps([code, numpy_at_import,\n"
+        "                  sorted(m for m in sys.modules if m.startswith('bkt.') or m == 'hashlib')]))"
+    )
+    assert got == code
+    assert numpy_at_import  # so under the BLAS cap, before any command's imports
+    assert not set(absent) & set(loaded), loaded
+    if argv[0] == "gen":
+        assert loaded == ["bkt.cli", "bkt.errors", "bkt.generators", "bkt.matrix"]
+
+
+def test_help_lists_every_command():
+    text = _run(
+        "import contextlib, io, json, bkt.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    try:\n"
+        "        bkt.cli.main(['--help'])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "print(json.dumps(out.getvalue()))"
+    )
+    assert "{" + ",".join(COMMANDS) + "}" in text
+    for command in COMMANDS:
+        assert f"\n    {command} " in text
+
+
 # -------------------------------------------------------------------- BLAS cap
 
 

@@ -21,8 +21,14 @@ from bkt import (
 import bkt.winprob
 from bkt.draws import _canon_rows
 from bkt.solvers import _swaps
-from bkt.winprob import _leaf_stacks, _player_reach, _reach, _reach_adjoint
-from helpers import random_deterministic, random_matrix, scramble
+from bkt.winprob import _leaf_stacks, _player_reach, _reach, _reach_adjoint, _sibling_sums
+from helpers import (
+    einsum_sibling_sums,
+    random_deterministic,
+    random_matrix,
+    random_mixed,
+    scramble,
+)
 
 
 def all_even(size):
@@ -165,6 +171,61 @@ def test_stacked_adjoint_matches_row_by_row_calls():
         for b in range(len(ms)):
             one = _reach_adjoint(pq[b:b + 1], [lv[b:b + 1] for lv in levels], leaf[b:b + 1])
             assert np.array_equal(stacked[b:b + 1], one)
+
+
+def signed_zero_stack(rng, size, count):
+    """(count, size, size) leaf-ordered stack of matrices whose 0/1 entries
+    are kept, and whose zeros below the diagonal are -0.0."""
+    out = []
+    for _ in range(count):
+        arr = random_mixed(rng, size).probs.copy()
+        arr[np.tri(size, k=-1, dtype=bool) & (arr == 0.0)] = -0.0
+        out.append(validate_matrix(arr).probs)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32])
+def test_sibling_sums_give_the_einsum_bits(size):
+    # the explicit sums at half 1 and 2 and einsum above, against einsum
+    # everywhere: interior, 0/1 and signed-zero entries and reach values,
+    # and the signed values the adjoint feeds in
+    rng = np.random.default_rng(40 + size)
+    for case in range(40):
+        B = int(rng.integers(1, 9))
+        pq, r = rng.random((B, size, size)), rng.random((B, size))
+        if case % 4 == 1:
+            pq = np.round(pq)
+        elif case % 4 == 2:
+            pq = signed_zero_stack(rng, size, B)
+            r = np.where(rng.random(r.shape) < 0.3, -0.0, np.round(r))
+        elif case % 4 == 3:
+            pq, r = rng.standard_normal(pq.shape), rng.standard_normal(r.shape)
+        half = 1
+        while half < size:
+            got = _sibling_sums(pq, r, half)
+            assert got.tobytes() == einsum_sibling_sums(pq, r, half).tobytes()
+            half *= 2
+
+
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32])
+def test_kernel_and_adjoint_give_the_einsum_bits(size, monkeypatch):
+    # both passes read _sibling_sums; the reference runs them on einsum's
+    rng = np.random.default_rng(50 + size)
+    stacks = [signed_zero_stack(rng, size, 4)]
+    for make in (random_matrix, random_deterministic, random_mixed):
+        stacks.append(np.stack([make(rng, size).probs for _ in range(4)]))
+    for pq in stacks:
+        perm = rng.permutation(size)
+        pq = np.ascontiguousarray(pq[:, perm[:, None], perm])
+        leaf = rng.integers(0, size, len(pq))
+        levels = _reach(pq)
+        alphas = _reach_adjoint(pq, levels, leaf)
+        with monkeypatch.context() as patch:
+            patch.setattr(bkt.winprob, "_sibling_sums", einsum_sibling_sums)
+            want_levels = _reach(pq)
+            want_alphas = _reach_adjoint(pq, want_levels, leaf)
+        assert [lv.tobytes() for lv in levels] == [lv.tobytes() for lv in want_levels]
+        assert alphas.tobytes() == want_alphas.tobytes()
 
 
 def full_kernel_reach(m, rows, player):
