@@ -34,10 +34,12 @@ finally:
         del os.environ[_BLAS_THREADS]
 
 from .errors import BktError, ParameterError
-from .matrix import ComparisonMatrix, matrix_from_json_dict
+from .matrix import ComparisonMatrix, _check_player, matrix_from_json_dict
 
 
-def _load(path: str, taken: set) -> tuple[object, str, str]:
+def _load(path: str, taken: set, inputs: dict) -> tuple[object, str]:
+    """The JSON document at path ("-" for stdin) and its name, once its
+    sha256 is recorded in inputs under that name."""
     import hashlib
 
     if path == "-":
@@ -49,7 +51,7 @@ def _load(path: str, taken: set) -> tuple[object, str, str]:
     else:
         raw = Path(path).read_bytes()
         name = path
-    digest = hashlib.sha256(raw).hexdigest()
+    inputs[name] = hashlib.sha256(raw).hexdigest()
     try:
         # decoded as json.loads decodes bytes, but the bytes go before the
         # parse builds its objects
@@ -60,20 +62,13 @@ def _load(path: str, taken: set) -> tuple[object, str, str]:
     # digit limit; RecursionError covers too deep a nesting
     except (ValueError, RecursionError) as e:
         raise ParameterError(f"{name} is not valid JSON: {e}") from e
-    return obj, name, digest
-
-
-def _load_matrix(path: str, taken: set, inputs: dict) -> ComparisonMatrix:
-    obj, name, digest = _load(path, taken)
-    inputs[name] = digest
-    return matrix_from_json_dict(obj)
+    return obj, name
 
 
 def _load_draw(path: str, taken: set, inputs: dict, warnings: list):
     from .draws import canonicalize, draw_from_json_dict
 
-    obj, name, digest = _load(path, taken)
-    inputs[name] = digest
+    obj, name = _load(path, taken, inputs)
     d = draw_from_json_dict(obj)
     if not d.is_canonical:
         warnings.append(f"draw from {name} was not canonical; using its canonical form")
@@ -145,10 +140,6 @@ def _table_rows(obj, depth: int):
     return map(template.__mod__, zip(*words))
 
 
-def _print_json(obj) -> None:
-    print(_dumps(obj))
-
-
 _CHUNK_CELLS = 1 << 16  # matrix cells joined into one write
 # up to this many distinct entries, a binary search over them finds each
 # cell's entry faster than np.unique's argsort of the whole table
@@ -212,8 +203,8 @@ def _emit_report(args, inputs: dict, result: dict, warnings: list,
         for w in warnings:
             print(f"warning: {w}")
     else:
-        _print_json({"command": " ".join(args.invocation), "inputs": inputs,
-                     "result": result, "warnings": warnings})
+        print(_dumps({"command": " ".join(args.invocation), "inputs": inputs,
+                      "result": result, "warnings": warnings}))
 
 
 def _cmd_gen(args) -> int:
@@ -235,16 +226,16 @@ def _cmd_perturb(args) -> int:
     from .generators import uniform_perturbation
 
     taken, inputs = set(), {}
-    m = _load_matrix(args.matrix, taken, inputs)
+    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
     _print_matrix(uniform_perturbation(m, args.eps), args.pretty)
     return 0
 
 
 def _cmd_winprob(args) -> int:
-    from .winprob import _check_player, win_probabilities
+    from .winprob import win_probabilities
 
     taken, inputs, warnings = set(), {}, []
-    m = _load_matrix(args.matrix, taken, inputs)
+    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
     d = _load_draw(args.draw, taken, inputs, warnings)
     if args.player is not None:
         _check_player(m, args.player)
@@ -267,7 +258,7 @@ def _cmd_drop(args) -> int:
     if args.witness and args.eps is None:
         raise ParameterError("--witness needs --eps")
     taken, inputs, warnings = set(), {}, []
-    m = _load_matrix(args.matrix, taken, inputs)
+    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
     d = _load_draw(args.draw, taken, inputs, warnings)
     rep = sensitivity(m, d, args.player)
     result = rep.to_json_dict()
@@ -297,7 +288,7 @@ def _cmd_crucial(args) -> int:
     from .robustness import crucial_matches, crucial_matches_oracle
 
     taken, inputs, warnings = set(), {}, []
-    m = _load_matrix(args.matrix, taken, inputs)
+    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
     d = _load_draw(args.draw, taken, inputs, warnings)
     fn = crucial_matches_oracle if args.oracle else crucial_matches
     rep = fn(m, d, args.player)
@@ -314,7 +305,7 @@ def _cmd_solve(args) -> int:
     from .solvers import SolveRequest, solve
 
     taken, inputs, warnings = set(), {}, []
-    m = _load_matrix(args.matrix, taken, inputs)
+    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
     req = SolveRequest(
         problem=args.problem, matrix=m, player=args.player,
         q=getattr(args, "q", None), c=getattr(args, "c", None),
@@ -337,7 +328,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     taken, inputs, warnings = set(), {}, []
-    m = _load_matrix(args.matrix, taken, inputs)
+    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
     d = _load_draw(args.draw, taken, inputs, warnings)
     if args.quantity == "wp":
         from .winprob import wp_by_outcome_enumeration

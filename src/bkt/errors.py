@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the round-count check
-that the generators and the draw counts share."""
+"""Exception types shared across the package, and the integer rule that
+round counts, players, seeds and restart counts share."""
 
+import math
 import numbers
 import operator
 
@@ -58,9 +59,14 @@ class NoWinningDraw(BktError):
     """No draw wins outright for the distinguished player."""
 
 
+def _check_integer(x, lo: int, hi: float, message: str) -> int:
+    """x as an int, once checked to be an integer in lo..hi: numpy's
+    integers count, a bool does not.  Else ParameterError, message then x."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x <= hi:
+        raise ParameterError(f"{message}, got {x!r}")
+    return operator.index(x)
+
+
 def _check_rounds(n) -> int:
-    """n as an int, once checked to be a positive round count: an integer,
-    numpy's too, but not a bool."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ParameterError(f"round count must be a positive integer, got {n!r}")
-    return operator.index(n)
+    """n as an int, once checked to be a positive round count."""
+    return _check_integer(n, 1, math.inf, "round count must be a positive integer")

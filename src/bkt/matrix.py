@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplementarityError, DimensionError, RangeError
+from .errors import ComplementarityError, DimensionError, RangeError, _check_integer
 
 # Tolerance for P[i,j] + P[j,i] = 1.  Entries themselves are checked against
 # [0, 1] exactly.
@@ -37,14 +37,21 @@ class ComparisonMatrix:
         """Number of players N = 2**n."""
         return self.probs.shape[0]
 
-    def probability(self, i: int, j: int) -> float:
-        """Probability that player i beats player j (1-based, i != j)."""
+    def _pair(self, i: int, j: int) -> tuple[int, int]:
+        """(i, j) as ints, once checked to be two distinct players."""
+        i, j = _check_player(self, i), _check_player(self, j)
         if i == j:
             raise ValueError("probability is undefined for i == j")
+        return i, j
+
+    def probability(self, i: int, j: int) -> float:
+        """Probability that player i beats player j (1-based, i != j)."""
+        i, j = self._pair(i, j)
         return float(self.probs[i - 1, j - 1])
 
     def with_entry(self, i: int, j: int, p: float) -> "ComparisonMatrix":
-        """New matrix with P[i,j] = p and P[j,i] = 1 - p."""
+        """New matrix with P[i,j] = p and P[j,i] = 1 - p (1-based, i != j)."""
+        i, j = self._pair(i, j)
         if not 0.0 <= p <= 1.0:
             raise RangeError(f"entry {p!r} outside [0, 1]")
         out = self.probs.copy()
@@ -58,6 +65,11 @@ class ComparisonMatrix:
         for i, row in enumerate(rows):
             row[i] = None
         return {"n": self.n, "matrix": rows}
+
+
+def _check_player(m: ComparisonMatrix, player) -> int:
+    """player as an int, once checked to be one of m's players 1..N."""
+    return _check_integer(player, 1, m.size, f"player must be an integer in 1..{m.size}")
 
 
 def _to_float(v) -> float:

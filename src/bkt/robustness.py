@@ -6,6 +6,10 @@ coefficient S such that an adversary moving every entry by at most eps can
 lower the winning probability by S*eps + O(eps^2).  For deterministic
 instances the same quantity counts the "crucial" matches whose lone flip
 dethrones the winner.
+
+The slopes and S come from `winprob._slopes` and `winprob._contributions`;
+this module builds the reports on them, the eps-adversary's estimate and
+witness, crucial matches, and the brute-force oracles that check them.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .errors import (
     RangeError,
     ScaleError,
 )
-from .matrix import ComparisonMatrix, validate_matrix
-from .winprob import _checked, _leaf_stacks, _reach, _reach_adjoint, _winner_levels
+from .matrix import ComparisonMatrix, _check_player, validate_matrix
+from .winprob import _checked, _contributions, _leaf_stacks, _reach, _slopes, _winner_levels
 
 # Corner-scan oracle: candidate sets of size <= 3 per unordered pair keep the
 # exhaustive product tractable only for very small instances.
@@ -101,49 +105,13 @@ class SensitivityReport:
         }
 
 
-def _contributions(alphas: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The clipped slopes, and their sums S over the last axis."""
-    # at the boundary only the feasible direction can hurt; where() keeps the
-    # sign of a zero, as Python's max(x, 0.0) does and maximum() does not
-    hurt = np.where(ps == 1.0, alphas, -alphas)
-    c = np.where((0.0 < ps) & (ps < 1.0), np.abs(alphas), np.where(hurt < 0.0, 0.0, hurt))
-    # left to right as Python's sum adds, not pairwise as np.sum; + 0.0 makes
-    # a sum of -0.0 terms 0.0, as sum's start value 0 does
-    return c, np.cumsum(c, axis=-1)[..., -1] + 0.0
-
-
-def _slopes(m: ComparisonMatrix, rows: np.ndarray, player: int):
-    """(wp, alphas) per _leaf_stacks chunk of a (B, N) array of leaf rows: the
-    player's (b,) winning probability and (b, C(N, 2)) slopes, pairs i < j in
-    lexicographic order.
-
-    One adjoint pass on the chunk's forward pass gives every pair's slope
-    alpha at once: wp is affine in each pair's entry, so the derivative is
-    the exact slope.  A caller that reduces each chunk before it takes the
-    next keeps its memory within one chunk.
-    """
-    i, j = np.triu_indices(rows.shape[1], 1)
-    for perm, pq in _leaf_stacks(m, rows):
-        levels = _reach(pq)
-        pos = np.argsort(perm, axis=1)  # leaf of each player
-        at = np.arange(len(pos))
-        leaf = pos[:, player - 1]
-        alphas = _reach_adjoint(pq, levels, leaf)
-        yield levels[-1][at, leaf], alphas[at[:, None], pos[:, i], pos[:, j]]
-
-
-def _drop_coefficients(m: ComparisonMatrix, alphas: np.ndarray) -> np.ndarray:
-    """`sensitivity(...).drop_coefficient` of each row of slopes, without the reports."""
-    return _contributions(alphas, m.probs[np.triu_indices(m.size, 1)])[1]
-
-
 def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     """Slopes alpha, intercepts beta and the drop coefficient for one draw.
 
     beta = wp - alpha * p.  The sum runs over unordered pairs {i, j} in
     lexicographic order.
     """
-    d = _checked(m, d, player)
+    d, player = _checked(m, d), _check_player(m, player)
     ((wp, alphas),) = _slopes(m, np.array([canonicalize(d).leaves]), player)
     base, alphas = wp[0], alphas[0]
     rows, cols = np.triu_indices(m.size, 1)
@@ -307,7 +275,7 @@ def crucial_matches(m: ComparisonMatrix, d, player: int) -> CrucialMatchReport:
     Subtree winners are computed once; flipping one match then only needs
     the winners recomputed along its ancestor path.
     """
-    d = _checked(m, d, player)
+    d, player = _checked(m, d), _check_player(m, player)
     levels = _require_winner(m, d, player)
     probs = m.probs
     rounds = d.rounds
@@ -344,7 +312,7 @@ def _replay_with_flip(probs: np.ndarray, leaves0: list[int], fr: int, fnode: int
 
 def crucial_matches_oracle(m: ComparisonMatrix, d, player: int) -> CrucialMatchReport:
     """Naive O(N^2) check: replay the whole bracket once per flipped match."""
-    d = _checked(m, d, player)
+    d, player = _checked(m, d), _check_player(m, player)
     if m.size > 64:
         raise ScaleError("the replay oracle is limited to 64 players")
     levels = _require_winner(m, d, player)
@@ -374,7 +342,7 @@ def exact_worst_drop_oracle(
     scanning the per-pair interval endpoints (plus 0/1 when reachable) is
     exact.  Returns (drop, minimizing matrix).
     """
-    d = _checked(m, d, player)
+    d, player = _checked(m, d), _check_player(m, player)
     _check_eps(eps)
     i, j = np.triu_indices(m.size, 1)
     if len(i) > CORNER_ORACLE_PAIR_LIMIT and not allow_large:

@@ -8,27 +8,22 @@ fall back to a restarted local search over block swaps.  Both score their
 candidates in batches: `_player_reach` gives a whole batch's winning
 probabilities from the target player's distinct opponent parts, and the
 robust problems take the drop coefficients of the rows that meet the target
-from `_slopes`, a chunk at a time.  `robustness` is imported only on the
-paths that need slopes, so TFP and PTFP never load it.
+from `_slopes`, a chunk at a time.  Every score, and every re-check of a
+witness, comes from `winprob`.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .draws import Draw, _canon_rows, _canonical_sequences
-from .errors import (
-    NoWinningDraw,
-    NotDeterministic,
-    ParameterError,
-    ScaleError,
-)
-from .matrix import ComparisonMatrix
-from .winprob import _check_player, _player_reach, _row_keys, win_probabilities
+from .errors import NoWinningDraw, NotDeterministic, ParameterError, ScaleError, _check_integer
+from .matrix import ComparisonMatrix, _check_player
+from .winprob import _drop_coefficients, _player_reach, _row_keys, _slopes, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
 _WP_ATOL = 1e-9
@@ -54,7 +49,7 @@ class SolveRequest:
             )
         if self.mode not in ("auto", "exact", "heuristic"):
             raise ParameterError(f"unknown mode {self.mode!r}")
-        _check_player(self.matrix, self.player)
+        object.__setattr__(self, "player", _check_player(self.matrix, self.player))
         if self.problem in ("TFP", "RTFP") and not self.matrix.deterministic:
             raise NotDeterministic(f"{self.problem} requires a 0/1 matrix")
         if self.problem in ("PTFP", "RPTFP"):
@@ -111,10 +106,9 @@ def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> N
     if abs(full - wp) > 1e-9 or full < req.wp_target - _WP_ATOL:
         raise RuntimeError("witness fails re-verification of its winning probability")
     if req.drop_bound is not None:
-        from .robustness import sensitivity
-
-        s2 = sensitivity(req.matrix, d, req.player).drop_coefficient
-        if s2 > req.drop_bound + _WP_ATOL:
+        # a witness is a canonical row, as sensitivity would make it
+        ((_, alphas),) = _slopes(req.matrix, np.array([d.leaves]), req.player)
+        if _drop_coefficients(req.matrix, alphas)[0] > req.drop_bound + _WP_ATOL:
             raise RuntimeError("witness fails re-verification of its drop coefficient")
 
 
@@ -148,8 +142,6 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> tuple[np.ndarray, tuple | No
             k = meet[0]
             return scores[:, :k + 1], (float(wp[k]), None)
         return scores, None
-    from .robustness import _drop_coefficients, _slopes
-
     scores[1] = -np.inf  # no drop coefficient
     lo = 0
     for _, alphas in _slopes(m, rows[meet], req.player):
@@ -270,10 +262,8 @@ def solve(req: SolveRequest, *, restarts: int = 10, seed: int = 0) -> SolveResul
     answers are definitive; heuristic mode runs a restarted local search
     whose negative answers are inconclusive.  Mode "auto" picks by size.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral) or restarts < 1:
-        raise ParameterError(f"restart count must be a positive integer, got {restarts!r}")
+    seed = _check_integer(seed, 0, math.inf, "seed must be a nonnegative integer")
+    restarts = _check_integer(restarts, 1, math.inf, "restart count must be a positive integer")
     mode = req.mode
     if mode == "auto":
         mode = "exact" if req.matrix.size <= EXACT_LIMIT else "heuristic"
@@ -287,7 +277,7 @@ def best_draw(m: ComparisonMatrix, player: int) -> tuple[Draw, float]:
 
     Exhaustive; ties keep the lexicographically first maximizer.
     """
-    _check_player(m, player)
+    player = _check_player(m, player)
     rows = _all_rows(m, "best_draw")
     wps = _player_reach(m, rows, player)[:, -1]
     k = int(np.argmax(wps))  # the first maximizer
@@ -317,13 +307,11 @@ def enumerate_delta_optimal(
     """
     if not delta >= 0.0:  # also rejects NaN
         raise ParameterError(f"delta must be nonnegative, got {delta}")
-    _check_player(m, player)
+    player = _check_player(m, player)
     rows = _all_rows(m, "enumerate_delta_optimal")
     wps = _player_reach(m, rows, player)[:, -1]
     near = wps >= wps.max() - delta - _WP_ATOL
     rows, wps = rows[near], wps[near]
-    from .robustness import _drop_coefficients, _slopes
-
     drops = np.concatenate([_drop_coefficients(m, a) for _, a in _slopes(m, rows, player)])
     entries = (DeltaOptimalEntry(Draw(tuple(leaves)), wp, s)
                for leaves, wp, s in zip(rows.tolist(), wps.tolist(), drops.tolist()))

@@ -6,10 +6,13 @@ stack of matrices permuted into leaf order, it computes the bottom-up
 rounds), merging all blocks of a level, for all B matrices, at once.
 `_reach_adjoint` is its reverse-mode pass: one backward sweep from a root
 leaf yields the slope of that leaf's winning probability in every pair's
-entry, in O(N^2) for all pairs.  `_player_reach` scores one player across a
-batch of draws from the distinct opponent parts they meet, one `_reach`
-call per part size.  A separate oracle enumerates all 2**(N-1)
-joint match outcomes instead and exists only to cross-check the kernel.
+entry, in O(N^2) for all pairs.  `_slopes` pairs the two passes over a
+batch of draws, and `_drop_coefficients` sums a draw's clipped slopes into
+its drop coefficient S, the quantity `robustness` reports and the robust
+solvers bound.  `_player_reach` scores one player across a batch of draws
+from the distinct opponent parts they meet, one `_reach` call per part
+size.  A separate oracle enumerates all 2**(N-1) joint match outcomes
+instead and exists only to cross-check the kernel.
 """
 
 from __future__ import annotations
@@ -19,28 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .draws import Draw, canonicalize
-from .errors import DimensionMismatch, NotDeterministic, ParameterError, ScaleError
-from .matrix import ComparisonMatrix
+from .errors import DimensionMismatch, NotDeterministic, ScaleError
+from .matrix import ComparisonMatrix, _check_player
 
 # 2**(N-1) outcome combinations; 16 players (32768 rows) is the sane limit.
 OUTCOME_ENUMERATION_LIMIT = 16
 _CHUNK_CELLS = 1 << 16  # matrix cells per _reach call; bounds a batch's memory
 
 
-def _check_player(m: ComparisonMatrix, player) -> None:
-    if isinstance(player, bool) or not isinstance(player, int) or not 1 <= player <= m.size:
-        raise ParameterError(f"player must be an integer in 1..{m.size}, got {player!r}")
-
-
-def _checked(m: ComparisonMatrix, d, *player) -> Draw:
+def _checked(m: ComparisonMatrix, d) -> Draw:
     """d as a Draw, after the checks every evaluator makes, in this order:
-    the leaves, the draw's size against m's, then the player if one is
-    passed (a passed None is checked, and rejected, like any other)."""
+    the leaves, then the draw's size against m's.  An evaluator that takes
+    a player checks it next, with `matrix._check_player`."""
     d = d if isinstance(d, Draw) else Draw(tuple(d))
     if m.size != d.size:
         raise DimensionMismatch(f"matrix has {m.size} players, draw has {d.size}")
-    for p in player:
-        _check_player(m, p)
     return d
 
 
@@ -133,7 +129,7 @@ def _player_reach(m: ComparisonMatrix, rows: np.ndarray, player: int) -> np.ndar
         parts = rows[np.arange(B)[:, None], start[:, None] + np.arange(size)]
         pv = m.probs[player - 1, parts - 1]
         if size == 1:
-            g = pv[:, 0]
+            g = pv[:, 0] + 0.0  # -0.0 to +0.0, as in _sibling_sums
         else:
             index: dict[bytes, int] = {}
             which = np.array([index.setdefault(key, len(index)) for key in _row_keys(parts, N)])
@@ -173,6 +169,43 @@ def _reach_adjoint(pq: np.ndarray, levels: list[np.ndarray], leaf: np.ndarray) -
         )
         bar = bar * _sibling_sums(pq, r, half) + _sibling_sums(pq_t, bar * r, half)
     return upper - upper.transpose(0, 2, 1)
+
+
+def _contributions(alphas: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clipped slopes, and their sums S over the last axis."""
+    # at the boundary only the feasible direction can hurt; where() keeps the
+    # sign of a zero, as Python's max(x, 0.0) does and maximum() does not
+    hurt = np.where(ps == 1.0, alphas, -alphas)
+    c = np.where((0.0 < ps) & (ps < 1.0), np.abs(alphas), np.where(hurt < 0.0, 0.0, hurt))
+    # left to right as Python's sum adds, not pairwise as np.sum; + 0.0 makes
+    # a sum of -0.0 terms 0.0, as sum's start value 0 does
+    return c, np.cumsum(c, axis=-1)[..., -1] + 0.0
+
+
+def _slopes(m: ComparisonMatrix, rows: np.ndarray, player: int):
+    """(wp, alphas) per _leaf_stacks chunk of a (B, N) array of leaf rows: the
+    player's (b,) winning probability and (b, C(N, 2)) slopes, pairs i < j in
+    lexicographic order.
+
+    One adjoint pass on the chunk's forward pass gives every pair's slope
+    alpha at once: wp is affine in each pair's entry, so the derivative is
+    the exact slope.  A caller that reduces each chunk before it takes the
+    next keeps its memory within one chunk.
+    """
+    i, j = np.triu_indices(rows.shape[1], 1)
+    for perm, pq in _leaf_stacks(m, rows):
+        levels = _reach(pq)
+        pos = np.argsort(perm, axis=1)  # leaf of each player
+        at = np.arange(len(pos))
+        leaf = pos[:, player - 1]
+        alphas = _reach_adjoint(pq, levels, leaf)
+        yield levels[-1][at, leaf], alphas[at[:, None], pos[:, i], pos[:, j]]
+
+
+def _drop_coefficients(m: ComparisonMatrix, alphas: np.ndarray) -> np.ndarray:
+    """`robustness.sensitivity(...).drop_coefficient` of each row of slopes,
+    without the reports."""
+    return _contributions(alphas, m.probs[np.triu_indices(m.size, 1)])[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,4 +311,5 @@ def outcome_win_distribution(m: ComparisonMatrix, d) -> np.ndarray:
 
 def wp_by_outcome_enumeration(m: ComparisonMatrix, d, player: int) -> float:
     """Winning probability of one player by brute-force outcome enumeration."""
-    return float(outcome_win_distribution(m, _checked(m, d, player))[player - 1])
+    d, player = _checked(m, d), _check_player(m, player)
+    return float(outcome_win_distribution(m, d)[player - 1])

@@ -359,6 +359,17 @@ def test_solve_rtfp_witness(capsys, tmp_path):
     assert doc["result"]["drop_coefficient"] == 3.0
 
 
+def test_solve_prints_the_wp_that_winprob_prints_on_a_signed_zero(capsys, tmp_path):
+    # player 1 beats player 2 with probability -0.0, so wins with +0.0
+    table = [[None, -0.0, 0.5, 0.5], [1.0, None, 0.5, 0.5],
+             [0.5, 0.5, None, 0.5], [0.5, 0.5, 0.5, None]]
+    src = write_json(tmp_path / "zero.json", {"matrix": table})
+    code, doc = run_json(capsys, "solve", "ptfp", "--matrix", src, "--player", "1", "--q", "0")
+    assert code == 0
+    assert doc["result"]["witness"] == [1, 2, 3, 4]
+    assert math.copysign(1.0, doc["result"]["wp"]) == 1.0
+
+
 def test_solve_heuristic_not_found_warns(capsys, tmp_path):
     src = write_json(tmp_path / "h4.json", gen_hard(4).to_json_dict())
     code, doc = run_json(capsys, "solve", "tfp", "--matrix", src,

@@ -5,7 +5,9 @@ from bkt import (
     ComparisonMatrix,
     ComplementarityError,
     DimensionError,
+    ParameterError,
     RangeError,
+    gen_hard,
     matrix_from_json_dict,
     validate_matrix,
 )
@@ -129,6 +131,28 @@ def test_probability_rejects_diagonal_query():
     m = validate_matrix([[0, 0.5], [0.5, 0]])
     with pytest.raises(ValueError):
         m.probability(1, 1)
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (2, 0), (5, 1), (1, 5), (-3, 1), (True, 2),
+                                  (1.0, 2), ("1", 2), (None, 2)])
+def test_entries_are_read_and_written_only_between_players(i, j):
+    # player 0 once read, and wrote, player 4's row through index -1
+    m = gen_hard(2)
+    with pytest.raises(ParameterError, match=r"player must be an integer in 1\.\.4"):
+        m.probability(i, j)
+    with pytest.raises(ParameterError):
+        m.with_entry(i, j, 0.3)
+
+
+def test_with_entry_rejects_a_diagonal_entry():
+    with pytest.raises(ValueError):
+        gen_hard(2).with_entry(2, 2, 0.3)
+
+
+def test_a_numpy_integer_is_a_player():
+    m = gen_hard(2)
+    assert m.probability(np.int64(2), np.int32(1)) == m.probability(2, 1)
+    assert np.array_equal(m.with_entry(np.int64(1), 2, 0.3).probs, m.with_entry(1, 2, 0.3).probs)
 
 
 def test_json_round_trip():

@@ -130,11 +130,16 @@ def inputs(tmp_path_factory):
     (["solve", "tfp", "--matrix", "M", "--player", "1"], 0, ["bkt.robustness", "bkt.generators"]),
     (["solve", "ptfp", "--matrix", "M", "--player", "1", "--q", "0.5", "--heuristic"], 0,
      ["bkt.robustness", "bkt.generators"]),
+    # a robust witness is re-checked, drop coefficient and all
+    (["solve", "rtfp", "--matrix", "M", "--player", "1", "--c", "10"], 0,
+     ["bkt.robustness", "bkt.generators"]),
+    (["solve", "rptfp", "--matrix", "M", "--player", "1", "--q", "0.5", "--s", "10",
+      "--heuristic"], 0, ["bkt.robustness", "bkt.generators"]),
     (["winprob", "--matrix", "M", "--draw", "D"], 0,
      ["bkt.robustness", "bkt.solvers", "bkt.generators"]),
     (["draws", "count", "3"], 0, ["bkt.winprob", "bkt.solvers", "hashlib"]),
-], ids=["gen-hard", "gen-threetier", "perturb", "solve-tfp", "solve-ptfp", "winprob",
-        "draws-count"])
+], ids=["gen-hard", "gen-threetier", "perturb", "solve-tfp", "solve-ptfp", "solve-rtfp",
+        "solve-rptfp", "winprob", "draws-count"])
 def test_each_command_loads_only_what_it_runs(inputs, argv, code, absent):
     argv = [{"M": inputs[0], "D": inputs[1]}.get(a, a) for a in argv]
     got, numpy_at_import, loaded = _run(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import operator
 
@@ -38,7 +39,7 @@ from bkt import (
     worst_perturbation_witness,
     wp_by_outcome_enumeration,
 )
-from bkt.robustness import _drop_coefficients, _slopes
+from bkt.winprob import _drop_coefficients, _slopes
 from helpers import (
     random_deterministic,
     random_matrix,
@@ -160,6 +161,15 @@ def test_sensitivity_rejects_bad_player(player):
 def test_crucial_matches_rejects_bad_player(player):
     with pytest.raises(ParameterError):
         crucial_matches(gen_hard(2), (1, 2, 3, 4), player)
+
+
+def test_a_numpy_integer_player_gives_plain_json():
+    d = (1, 2, 3, 4)
+    for fn, m in ((sensitivity, all_even(4)), (crucial_matches, gen_hard(2)),
+                  (crucial_matches_oracle, gen_hard(2))):
+        got = fn(m, d, np.int64(1))
+        assert type(got.player) is int
+        assert json.dumps(got.to_json_dict()) == json.dumps(fn(m, d, 1).to_json_dict())
 
 
 def test_contribution_clipping_rule():

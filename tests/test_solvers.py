@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bkt import (
+    Draw,
     NoWinningDraw,
     NotDeterministic,
     ParameterError,
@@ -28,11 +29,10 @@ from bkt import (
     win_probabilities,
     winner,
 )
-from bkt import robustness
+from bkt import winprob
 from bkt.draws import _canon_rows
-from bkt.robustness import _slopes
-from bkt.solvers import _row_keys, _scores, _swaps
-from bkt.winprob import _player_reach
+from bkt.solvers import _row_keys, _scores, _swaps, _verify_witness
+from bkt.winprob import _player_reach, _slopes
 from helpers import (
     random_deterministic,
     random_matrix,
@@ -185,6 +185,19 @@ def test_rtfp_witness_meets_both_conditions():
     assert sensitivity(m, res.witness, 1).drop_coefficient <= 3.0
 
 
+def test_a_witness_that_fails_its_recheck_is_an_error():
+    # player 1 wins this draw, whose drop coefficient is 3.0 (see above)
+    m, d = gen_unbalanced(3), Draw((1, 2, 3, 5, 4, 6, 7, 8))
+    _verify_witness(SolveRequest("RTFP", m, 1, c=3.0), d, 1.0, 3.0)
+    with pytest.raises(RuntimeError, match="winning probability"):
+        _verify_witness(SolveRequest("RTFP", m, 1, c=3.0), d, 0.5, 3.0)
+    even = SolveRequest("PTFP", all_even(8), 1, q=0.5)  # every draw gives 0.125
+    with pytest.raises(RuntimeError, match="winning probability"):
+        _verify_witness(even, Draw(tuple(range(1, 9))), 0.125, None)
+    with pytest.raises(RuntimeError, match="drop coefficient"):
+        _verify_witness(SolveRequest("RTFP", m, 1, c=2.5), d, 1.0, 2.5)
+
+
 # ---------------------------------------------------------------- exact RPTFP
 
 
@@ -284,6 +297,15 @@ def test_best_draw_examples():
     d, wp = best_draw(gen_bigsmall(2, 0.6).matrix, 3)
     assert d.leaves == (1, 3, 2, 4)
     assert wp == pytest.approx(0.324)
+
+
+def test_a_numpy_integer_player_is_kept_as_an_int():
+    m = gen_unbalanced(3)
+    assert best_draw(m, np.int64(1)) == best_draw(m, 1)
+    assert enumerate_delta_optimal(m, np.int64(1), 0.5) == enumerate_delta_optimal(m, 1, 0.5)
+    req = SolveRequest("RTFP", m, np.int64(1), c=3.0)
+    assert type(req.player) is int
+    assert solve(req) == solve(SolveRequest("RTFP", m, 1, c=3.0))
 
 
 def test_best_draw_scale_guard():
@@ -510,13 +532,13 @@ def test_scores_take_slopes_a_chunk_at_a_time_up_to_the_first_ok_row(monkeypatch
     rows = np.concatenate([rows[:101][~last], rows[:101][last], rows[101:]])
     assert last.sum() == 1 and len(rows) > 2000
     batches = []
-    adjoint = robustness._reach_adjoint
+    adjoint = winprob._reach_adjoint
 
     def counted(pq, levels, leaf):
         batches.append(len(pq))
         return adjoint(pq, levels, leaf)
 
-    monkeypatch.setattr(robustness, "_reach_adjoint", counted)
+    monkeypatch.setattr(winprob, "_reach_adjoint", counted)
     scores, hit = _scores(SolveRequest("RPTFP", m, 1, q=0.0, s=float(drops.min())), rows)
     assert scores.shape == (2, 101)  # the 101st row is the first ok one
     assert hit == (float(win_probabilities(m, tuple(rows[100]))[0]), float(drops.min()))

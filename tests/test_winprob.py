@@ -228,6 +228,13 @@ def test_kernel_and_adjoint_give_the_einsum_bits(size, monkeypatch):
         assert alphas.tobytes() == want_alphas.tobytes()
 
 
+def signed_zero_deterministic(rng, size):
+    """Random 0/1 comparison matrix whose zeros are all -0.0."""
+    arr = random_deterministic(rng, size).probs.copy()
+    arr[arr == 0.0] = -0.0
+    return validate_matrix(arr)
+
+
 def full_kernel_reach(m, rows, player):
     """(B, rounds + 1) reach levels of the player from the whole bracket's
     forward pass, read at their leaf."""
@@ -258,7 +265,9 @@ def test_player_reach_equals_the_full_kernel_bit_for_bit(size):
         rows[1, [3, 259]] = 260, 4
         rows[2:] = [rng.permutation(size) + 1 for _ in range(6)]
         rows = _canon_rows(rows)
-    for m in (random_matrix(rng, size, interior=True), random_deterministic(rng, size)):
+    matrices = (random_matrix(rng, size, interior=True), random_deterministic(rng, size),
+                signed_zero_deterministic(rng, size))
+    for m in matrices:
         for player in sorted({1, size // 2 + 1, size}):
             got = _player_reach(m, rows, player)
             want = full_kernel_reach(m, rows, player)
