@@ -37,6 +37,46 @@ from .errors import BktError, ParameterError
 from .matrix import ComparisonMatrix, _check_player, matrix_from_json_dict
 
 
+# Inputs of at least this many bytes are offered to orjson, which parses a
+# matrix document 2-4x faster than json.loads.  With its import (4.5-6 ms)
+# counted, it breaks even at about 330 KB and saves 13-20 ms at 1 MB.
+_ORJSON_MIN_BYTES = 1 << 20
+# orjson nests without a limit and overflows the C stack past 40 000-60 000
+# objects on an 8 MB stack, so it only sees documents with at most this many
+# '[' and '{' bytes: room for a matrix of 4094 players.
+_ORJSON_MAX_OPENERS = 1 << 12
+_NOT_OPENERS = bytes(sorted(set(range(256)) - set(b"[{")))
+
+
+def _matrix_document(raw: bytes):
+    """raw parsed by orjson, if it is a matrix document that json.loads
+    would read to the same values; else None.
+
+    orjson rejects everything else json.loads reads differently (NaN,
+    Infinity, numbers past the float range, a BOM, UTF-16 or UTF-32 text,
+    lone surrogates) but for two cases.  It reads an integer past 64 bits as
+    a float, which only the declared "n" could show, since cells become
+    floats anyway.  And it accepts nesting past json's recursion limit, so
+    its result is kept only when the '[' and '{' bytes are exactly the
+    document's own object, its matrix and the rows.
+    """
+    openers = len(raw.translate(None, _NOT_OPENERS))
+    if openers > _ORJSON_MAX_OPENERS:
+        return None
+    import orjson
+
+    try:
+        obj = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        return None
+    rows = obj.get("matrix") if type(obj) is dict else None
+    if (type(rows) is list and openers == 2 + len(rows)
+            and all(type(row) is list for row in rows)
+            and not isinstance(obj.get("n"), float)):
+        return obj
+    return None
+
+
 def _load(path: str, taken: set, inputs: dict) -> tuple[object, str]:
     """The JSON document at path ("-" for stdin) and its name, once its
     sha256 is recorded in inputs under that name."""
@@ -52,6 +92,10 @@ def _load(path: str, taken: set, inputs: dict) -> tuple[object, str]:
         raw = Path(path).read_bytes()
         name = path
     inputs[name] = hashlib.sha256(raw).hexdigest()
+    if len(raw) >= _ORJSON_MIN_BYTES:
+        obj = _matrix_document(raw)
+        if obj is not None:
+            return obj, name
     try:
         # decoded as json.loads decodes bytes, but the bytes go before the
         # parse builds its objects

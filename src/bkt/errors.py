@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the integer rule that
-round counts, players, seeds and restart counts share."""
+"""Exception types shared across the package, the integer rule that round
+counts, players, seeds and restart counts share, and the real-number rule of
+the solvers' thresholds and bounds."""
 
 import math
 import numbers
@@ -65,6 +66,15 @@ def _check_integer(x, lo: int, hi: float, message: str) -> int:
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or not lo <= x <= hi:
         raise ParameterError(f"{message}, got {x!r}")
     return operator.index(x)
+
+
+def _check_real(x, lo: float, hi: float, message: str) -> float:
+    """x as a float, once checked to be a real number in lo..hi: numpy's
+    numbers count, a bool does not, and NaN is in no range.  Else
+    ParameterError with message."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not lo <= x <= hi:
+        raise ParameterError(message)
+    return float(x)
 
 
 def _check_rounds(n) -> int:

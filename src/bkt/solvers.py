@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .draws import Draw, _canon_rows, _canonical_sequences
-from .errors import NoWinningDraw, NotDeterministic, ParameterError, ScaleError, _check_integer
+from .errors import (NoWinningDraw, NotDeterministic, ParameterError, ScaleError, _check_integer,
+                     _check_real)
 from .matrix import ComparisonMatrix, _check_player
 from .winprob import _drop_coefficients, _player_reach, _row_keys, _slopes, win_probabilities
 
@@ -53,13 +54,14 @@ class SolveRequest:
         if self.problem in ("TFP", "RTFP") and not self.matrix.deterministic:
             raise NotDeterministic(f"{self.problem} requires a 0/1 matrix")
         if self.problem in ("PTFP", "RPTFP"):
-            if self.q is None or not 0.0 <= self.q <= 1.0:
-                raise ParameterError(f"{self.problem} needs a threshold q in [0, 1]")
-        # "not >=" also rejects NaN, which would make every comparison fail
-        if self.problem == "RTFP" and (self.c is None or not self.c >= 0.0):
-            raise ParameterError("RTFP needs a nonnegative drop bound c")
-        if self.problem == "RPTFP" and (self.s is None or not self.s >= 0.0):
-            raise ParameterError("RPTFP needs a nonnegative drop bound s")
+            object.__setattr__(self, "q", _check_real(
+                self.q, 0.0, 1.0, f"{self.problem} needs a threshold q in [0, 1]"))
+        if self.problem == "RTFP":
+            object.__setattr__(self, "c", _check_real(
+                self.c, 0.0, math.inf, "RTFP needs a nonnegative drop bound c"))
+        if self.problem == "RPTFP":
+            object.__setattr__(self, "s", _check_real(
+                self.s, 0.0, math.inf, "RPTFP needs a nonnegative drop bound s"))
 
     @property
     def wp_target(self) -> float:
@@ -305,8 +307,7 @@ def enumerate_delta_optimal(
 
     Sorted by ascending drop coefficient, then descending wp, then leaves.
     """
-    if not delta >= 0.0:  # also rejects NaN
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
+    delta = _check_real(delta, 0.0, math.inf, f"delta must be nonnegative, got {delta!r}")
     player = _check_player(m, player)
     rows = _all_rows(m, "enumerate_delta_optimal")
     wps = _player_reach(m, rows, player)[:, -1]

@@ -11,7 +11,9 @@ from bkt import (
     matrix_from_json_dict,
     validate_matrix,
 )
+from bkt import matrix
 from bkt.matrix import _coerce_cells
+from helpers import random_matrix
 
 
 def test_accepts_two_player_deterministic():
@@ -104,6 +106,46 @@ def test_complementarity_tolerance_is_tight():
     validate_matrix([[0, 0.7], [0.3 + 9e-10, 0]])
     with pytest.raises(ComplementarityError):
         validate_matrix([[0, 0.7], [0.3 + 2e-9, 0]])
+
+
+def _whole_table_message(arr):
+    """The message the whole-table check names: the first largest gap."""
+    gap = np.abs(arr + arr.T - 1.0)
+    np.fill_diagonal(gap, 0.0)
+    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return f"P[{i + 1},{j + 1}] + P[{j + 1},{i + 1}] = {float(arr[i, j] + arr[j, i])!r} != 1"
+
+
+@pytest.mark.parametrize("breaks", [
+    [(5, 9, 0.01)],  # a diagonal tile
+    [(3, 200, 0.01)],  # the tile above the diagonal
+    [(250, 255, 0.01)],  # the last tile
+    [(200, 3, 0.25)],  # below the diagonal: read from its mirror tile
+    [(5, 9, 1e-6), (250, 255, 0.3)],  # the first tile fails, the last holds the largest gap
+    [(130, 140, 0.2), (2, 3, 0.2)],  # equal gaps: the first in row order is named
+])
+def test_a_complement_failure_names_the_whole_tables_pair(breaks):
+    arr = random_matrix(np.random.default_rng(256), 256, interior=True).probs.copy()
+    assert matrix._TILE < 256
+    for i, j, by in breaks:
+        arr[i, j] += by
+    with pytest.raises(ComplementarityError) as exc:
+        validate_matrix(arr)
+    assert str(exc.value) == _whole_table_message(arr)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 8, 128])
+def test_the_complement_tiles_cover_every_pair(monkeypatch, tile):
+    monkeypatch.setattr(matrix, "_TILE", tile)
+    base = random_matrix(np.random.default_rng(tile), 16).probs
+    validate_matrix(base)
+    for i, j in zip(*np.triu_indices(16, 1)):
+        for a, b in ((i, j), (j, i)):
+            arr = base.copy()
+            arr[a, b] = 0.5 * (arr[a, b] + (arr[a, b] < 0.5))  # halfway to the far corner
+            with pytest.raises(ComplementarityError) as exc:
+                validate_matrix(arr)
+            assert str(exc.value) == _whole_table_message(arr)
 
 
 def test_near_corner_entries_are_not_deterministic():

@@ -116,11 +116,15 @@ SLOW = ["bkt.draws", "bkt.winprob", "bkt.robustness", "bkt.solvers", "hashlib"]
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Paths of a 4-player 0/1 matrix file and a draw file."""
+    """Paths of a 4-player 0/1 matrix file and a draw file, and of a
+    512-player matrix file of at least 1 MiB and its draw file."""
     folder = tmp_path_factory.mktemp("inputs")
     (folder / "m.json").write_text(json.dumps(bkt.gen_hard(2).to_json_dict()))
     (folder / "d.json").write_text(json.dumps({"leaves": [1, 2, 3, 4]}))
-    return str(folder / "m.json"), str(folder / "d.json")
+    (folder / "large.json").write_text(json.dumps(bkt.gen_hard(9).to_json_dict()))
+    assert (folder / "large.json").stat().st_size >= 1 << 20
+    (folder / "ld.json").write_text(json.dumps({"leaves": list(range(1, 513))}))
+    return {name: str(folder / f"{name}.json") for name in ("m", "d", "large", "ld")}
 
 
 @pytest.mark.parametrize("argv, code, absent", [
@@ -138,10 +142,15 @@ def inputs(tmp_path_factory):
     (["winprob", "--matrix", "M", "--draw", "D"], 0,
      ["bkt.robustness", "bkt.solvers", "bkt.generators"]),
     (["draws", "count", "3"], 0, ["bkt.winprob", "bkt.solvers", "hashlib"]),
+    # orjson loads for an input of 1 MiB or more, and only then
+    (["winprob", "--matrix", "L", "--draw", "LD"], 0,
+     ["bkt.robustness", "bkt.solvers", "bkt.generators"]),
 ], ids=["gen-hard", "gen-threetier", "perturb", "solve-tfp", "solve-ptfp", "solve-rtfp",
-        "solve-rptfp", "winprob", "draws-count"])
+        "solve-rptfp", "winprob", "draws-count", "winprob-large"])
 def test_each_command_loads_only_what_it_runs(inputs, argv, code, absent):
-    argv = [{"M": inputs[0], "D": inputs[1]}.get(a, a) for a in argv]
+    large = "L" in argv
+    argv = [{"M": inputs["m"], "D": inputs["d"], "L": inputs["large"], "LD": inputs["ld"]}
+            .get(a, a) for a in argv]
     got, numpy_at_import, loaded = _run(
         "import contextlib, io, json, sys\n"
         "import bkt.cli\n"
@@ -149,11 +158,13 @@ def test_each_command_loads_only_what_it_runs(inputs, argv, code, absent):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = bkt.cli.main({argv!r})\n"
         "print(json.dumps([code, numpy_at_import,\n"
-        "                  sorted(m for m in sys.modules if m.startswith('bkt.') or m == 'hashlib')]))"
+        "                  sorted(m for m in sys.modules\n"
+        "                         if m.startswith('bkt.') or m in ('hashlib', 'orjson'))]))"
     )
     assert got == code
     assert numpy_at_import  # so under the BLAS cap, before any command's imports
     assert not set(absent) & set(loaded), loaded
+    assert ("orjson" in loaded) == large, loaded
     if argv[0] == "gen":
         assert loaded == ["bkt.cli", "bkt.errors", "bkt.generators", "bkt.matrix"]
 

@@ -99,6 +99,25 @@ def test_robust_problems_need_nonnegative_bounds():
         SolveRequest("RPTFP", all_even(4), 1, q=0.5, s=float("nan"))
 
 
+@pytest.mark.parametrize("problem, field, m, given", [
+    ("PTFP", "q", all_even(4), {}),
+    ("RPTFP", "q", all_even(4), {"s": 1.0}),
+    ("RTFP", "c", gen_hard(2), {}),
+    ("RPTFP", "s", all_even(4), {"q": 0.5}),
+])
+def test_thresholds_and_bounds_follow_one_real_number_rule(problem, field, m, given):
+    message = {"q": f"{problem} needs a threshold q in [0, 1]",
+               "c": "RTFP needs a nonnegative drop bound c",
+               "s": "RPTFP needs a nonnegative drop bound s"}[field]
+    for bad in ("0.5", "1", True, False, None, [0.5], np.bool_(True), float("nan")):
+        with pytest.raises(ParameterError) as err:
+            SolveRequest(problem, m, 1, **given, **{field: bad})
+        assert str(err.value) == message, bad
+    for good, want in ((np.float64(0.25), 0.25), (np.int64(1), 1.0), (0, 0.0)):
+        got = getattr(SolveRequest(problem, m, 1, **given, **{field: good}), field)
+        assert type(got) is float and got == want
+
+
 def test_request_rejects_unknown_mode():
     with pytest.raises(ParameterError):
         SolveRequest("TFP", gen_hard(2), 1, mode="quantum")
@@ -373,8 +392,18 @@ def test_delta_optimal_matches_the_per_draw_scan(size):
 
 def test_delta_optimal_rejects_negative_delta():
     for delta in (-0.1, float("nan")):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=f"^delta must be nonnegative, got {delta}$"):
             enumerate_delta_optimal(gen_hard(2), 1, delta)
+
+
+def test_delta_follows_the_real_number_rule():
+    for delta in ("0.1", True, None, np.bool_(False)):
+        with pytest.raises(ParameterError, match="^delta must be nonnegative, got "):
+            enumerate_delta_optimal(gen_hard(2), 1, delta)
+        with pytest.raises(ParameterError, match="^delta must be nonnegative, got "):
+            most_robust_winning_draw(gen_hard(2), 1, delta)
+    exact = enumerate_delta_optimal(gen_hard(2), 1, 0.0)
+    assert enumerate_delta_optimal(gen_hard(2), 1, np.int64(0)) == exact
 
 
 # --------------------------------------------------- most robust winning draw
