@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 from json import detect_encoding
 from pathlib import Path
@@ -46,6 +47,21 @@ _ORJSON_MIN_BYTES = 1 << 20
 # '[' and '{' bytes: room for a matrix of 4094 players.
 _ORJSON_MAX_OPENERS = 1 << 12
 _NOT_OPENERS = bytes(sorted(set(range(256)) - set(b"[{")))
+# Address space orjson.loads may take, per byte of input.  The least that
+# let it finish was 3.6x for an indented interior matrix, 5.6x minified,
+# 6.9x for a half 0/1 one, 13-14x for a 0/1 one and 23x for an array of
+# one-character strings.
+_ORJSON_LOAD_BYTES = 32
+
+
+def _reserve(nbytes: int) -> None:
+    """Raise MemoryError unless nbytes can be allocated now.
+
+    orjson 3.8 ends the process with SIGSEGV, not MemoryError, when one of
+    its own allocations fails.  So each call into it first allocates and
+    frees what the call may take; untouched, that costs no resident memory.
+    """
+    np.empty(nbytes, np.uint8)
 
 
 def _matrix_document(raw: bytes):
@@ -66,8 +82,9 @@ def _matrix_document(raw: bytes):
     import orjson
 
     try:
+        _reserve(len(raw) * _ORJSON_LOAD_BYTES)
         obj = orjson.loads(raw)
-    except orjson.JSONDecodeError:
+    except (MemoryError, orjson.JSONDecodeError):
         return None
     rows = obj.get("matrix") if type(obj) is dict else None
     if (type(rows) is list and openers == 2 + len(rows)
@@ -185,29 +202,38 @@ def _table_rows(obj, depth: int):
 
 
 _CHUNK_CELLS = 1 << 16  # matrix cells joined into one write
-# up to this many distinct entries, a binary search over them finds each
-# cell's entry faster than np.unique's argsort of the whole table
+# A table of more distinct entries than this, and of at least
+# _ORJSON_MIN_CELLS cells, is written by orjson.  Below that size orjson's
+# import costs more than it saves: on an interior table, in a fresh process,
+# the words took 5.0 ms and orjson with its import 8.5 ms at 64 players,
+# and 33 ms against 12 ms at 128 players.
 _FEW_ENTRIES = 64
+_ORJSON_MIN_CELLS = 128 * 128
+# Address space orjson.dumps may take, per cell.  An entry's text is at
+# most 23 bytes (1.2345678901234567e-100), so with its indent, comma and
+# newline a cell takes at most 31 bytes; orjson doubles its buffer as it
+# grows, so the buffer may be twice what it holds.
+_ORJSON_CELL_BYTES = 64
 
 
 def _matrix_lines(m: ComparisonMatrix):
     """The text of json.dumps(m.to_json_dict(), indent=2), in chunks of rows.
 
-    Each distinct entry is formatted once by the encoder, keyed on its bits
-    so that -0.0 keeps its own text; rows are joins of those words.  Every
-    table-sized array is built before the first chunk is yielded, so running
-    out of memory leaves nothing written.
+    A large table of many entries is written whole by orjson
+    (_orjson_matrix).  Otherwise each distinct entry is formatted once by
+    the encoder, keyed on its bits so that -0.0 keeps its own text, and rows
+    are joins of those words.  Every table-sized array is built before the
+    first chunk is yielded, so running out of memory leaves nothing written.
     """
     size = m.size
     bits = m.probs.view(np.int64).ravel()
     ordered = np.sort(bits)
     keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    del ordered  # before np.unique sorts a copy of its own
-    if len(keys) <= _FEW_ENTRIES:
-        at = np.searchsorted(keys, bits)
-    else:
-        at = np.unique(bits, return_inverse=True)[1]
-    at = at.reshape(size, size)
+    del ordered
+    if len(keys) > _FEW_ENTRIES and bits.size >= _ORJSON_MIN_CELLS:
+        yield _orjson_matrix(m)
+        return
+    at = np.searchsorted(keys, bits).reshape(size, size)
     np.fill_diagonal(at, len(keys))
     text = json.dumps(keys.view(np.float64).tolist(), separators=("\n", ""))
     words = np.empty(len(keys) + 1, dtype=object)  # np.array would probe each str
@@ -221,6 +247,25 @@ def _matrix_lines(m: ComparisonMatrix):
             yield row
         yield row.join(map(cell.join, words[at[lo:lo + step]].tolist()))
     yield "\n    ]\n  ]\n}"
+
+
+def _orjson_matrix(m: ComparisonMatrix) -> str:
+    """The text of json.dumps(m.to_json_dict(), indent=2), from one orjson
+    call on the table with a NaN diagonal, which orjson writes as null."""
+    import orjson
+
+    arr = m.probs.copy()
+    np.fill_diagonal(arr, np.nan)
+    _reserve(arr.size * _ORJSON_CELL_BYTES)
+    doc = orjson.dumps({"n": m.n, "matrix": arr},
+                       option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    if ((m.probs > 0.0) & (m.probs < 1e-4)).any():
+        # orjson writes only these entries apart from json: 1e-05 as 0.00001
+        # and 1e-06 as 1e-6.  Each pattern starts with a literal, which re
+        # finds fast (0.1 s on 21 MB, where a line-anchored one takes 0.9 s).
+        doc = re.sub(rb"0\.0000\d+", lambda t: repr(float(t[0])).encode(), doc)
+        doc = re.sub(rb"e-(\d)(?!\d)", rb"e-0\1", doc)
+    return doc.decode()
 
 
 def _print_matrix(m: ComparisonMatrix, pretty: bool) -> None:

@@ -77,9 +77,12 @@ def _check_player(m: ComparisonMatrix, player) -> int:
 
 
 def _to_float(v) -> float:
-    # non-numbers become NaN here; validate_matrix rejects NaN off-diagonal
+    # non-numbers become NaN here; validate_matrix rejects NaN off-diagonal.
+    # An integer past the float range becomes an infinity, as 1e400 does.
     try:
         return float(v)
+    except OverflowError:
+        return np.inf if v > 0 else -np.inf
     except (TypeError, ValueError):
         return np.nan
 

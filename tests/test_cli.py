@@ -28,7 +28,7 @@ from bkt import (
     validate_matrix,
 )
 from bkt.cli import _dumps, _matrix_lines, main
-from helpers import random_matrix
+from helpers import random_matrix, random_mixed
 
 
 def run(capsys, *argv):
@@ -105,8 +105,11 @@ def test_perturb_prints_exactly_the_indented_json(capsys, tmp_path, source):
 
 
 def test_matrix_out_of_memory_writes_only_the_error(capsys, monkeypatch, tmp_path):
-    # the table-sized arrays are built before the first byte is written; a
-    # table of two entries takes the binary search, one of 240 np.unique
+    # the whole document is built before the first byte is written; a table
+    # of two entries takes the binary search, one of 240 orjson, which is
+    # first offered its room (np.empty) and then fails on its own
+    import orjson
+
     array_memory_error = type("_ArrayMemoryError", (MemoryError,), {})
 
     def too_big(*args, **kwargs):
@@ -115,14 +118,61 @@ def test_matrix_out_of_memory_writes_only_the_error(capsys, monkeypatch, tmp_pat
     m = random_matrix(np.random.default_rng(16), 16, interior=True)
     many = ["perturb", "--matrix", write_json(tmp_path / "m.json", m.to_json_dict()),
             "--eps", "0.01"]
-    for fails, argv in (("sort", ["gen", "hard", "10"]), ("searchsorted", ["gen", "hard", "10"]),
-                        ("unique", many)):
+    for module, fails, argv in ((np, "sort", ["gen", "hard", "10"]),
+                                (np, "searchsorted", ["gen", "hard", "10"]),
+                                (np, "empty", many), (orjson, "dumps", many)):
         with monkeypatch.context() as patch:
-            patch.setattr(bkt.cli.np, fails, too_big)
+            patch.setattr(bkt.cli, "_ORJSON_MIN_CELLS", 0)
+            patch.setattr(module, fails, too_big)
             code, out = run(capsys, *argv)
         assert code == 2
         assert json.loads(out) == {"error": {"kind": "MemoryError",
                                              "message": "Unable to allocate 8.00 MiB for an array"}}
+
+
+def test_a_large_many_valued_matrix_is_written_whole_by_orjson(capsys, monkeypatch, tmp_path):
+    # eps = 1e-05 and the entries below it are the ones orjson writes apart
+    # from json (0.00001, 1e-6); the document must still be json's, byte for
+    # byte, from one orjson call
+    import orjson
+
+    rng = np.random.default_rng(20)
+    arr = random_mixed(rng, 1024).probs.copy()
+    tiny = [3e-06, 1.5e-07, 2.5e-09, 7.25e-05, 1e-10]
+    for k, v in enumerate(tiny):
+        arr[k, k + 1], arr[k + 1, k] = v, 1.0 - v
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(validate_matrix(arr).to_json_dict()))
+    calls = []
+    dumps = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(1) or dumps(*a, **k))
+    code, out = run(capsys, "perturb", "--matrix", str(src), "--eps", "1e-05")
+    assert code == 0
+    assert calls == [1]
+    want = uniform_perturbation(validate_matrix(arr), 1e-05).to_json_dict()
+    assert out == json.dumps(want, indent=2) + "\n"
+    assert "1e-05" in out and "1.5e-07" in out
+
+
+def test_orjson_writes_entries_outside_0_to_1e_4_as_json_does():
+    # the premise of the orjson writer: only the entries in (0, 1e-4) are
+    # rewritten, and a NaN diagonal reads null
+    import orjson
+
+    rng = np.random.default_rng(2016)
+    values = np.concatenate([rng.random(100_000), 10.0 ** rng.uniform(-4, 0, 20_000),
+                             10.0 ** rng.uniform(-330, -4, 2_000),
+                             [1e-4, math.nextafter(1e-4, 0.0), 9.5e-05, 1 - 2**-53,
+                              -0.0, 5e-324, 0.0, 1.0]])
+    got = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
+    got = [w.rstrip(",") for w in got.decode().split()[1:-1]]
+    want = [json.dumps(v) for v in values.tolist()]
+    outside = (values == 0.0) | (values >= 1e-4)
+    assert [g for g, o in zip(got, outside) if o] == [w for w, o in zip(want, outside) if o]
+    # inside, the digits agree: repr of the value orjson wrote is json's text
+    assert [repr(float(g)) for g, o in zip(got, outside) if not o] == \
+        [w for w, o in zip(want, outside) if not o]
+    assert orjson.dumps(np.array([np.nan]), option=orjson.OPT_SERIALIZE_NUMPY) == b"[null]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -723,7 +773,8 @@ def test_dumps_encodes_a_table_once_per_column(monkeypatch):
     assert text == json.dumps(rows, indent=2)
 
 
-_TRICKY = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-05, 0.1 + 0.2, 1 - 2**-53]
+_TRICKY = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-05, 0.1 + 0.2, 1 - 2**-53,
+           1e-4, math.nextafter(1e-4, 0.0), 9.5e-05, 2.5e-07]
 _few_entries = st.sampled_from(_TRICKY + [0.1, 0.9, 0.25])
 _any_entries = st.floats(0.0, 1.0) | st.sampled_from(_TRICKY)
 
@@ -743,9 +794,11 @@ def _matrices(draw):
 @given(_matrices(), st.sampled_from([1, 5, 64, bkt.cli._CHUNK_CELLS]),
        st.sampled_from([0, bkt.cli._FEW_ENTRIES, 1 << 13]))
 def test_matrix_lines_match_indented_json(m, chunk_cells, few_entries):
-    # few_entries 0 takes np.unique for every table, 1 << 13 the binary search
+    # with no least size, few_entries 0 takes orjson for every table and
+    # 1 << 13 the binary search
     with mock.patch.object(bkt.cli, "_CHUNK_CELLS", chunk_cells), \
-            mock.patch.object(bkt.cli, "_FEW_ENTRIES", few_entries):
+            mock.patch.object(bkt.cli, "_FEW_ENTRIES", few_entries), \
+            mock.patch.object(bkt.cli, "_ORJSON_MIN_CELLS", 0):
         text = "".join(_matrix_lines(m))
     assert text == json.dumps(m.to_json_dict(), indent=2)
 

@@ -77,7 +77,7 @@ CASES = {
     "big-negative-integer-cell": (lambda: _text(_set_cells({(3, 2): -(2 ** 64) - 3})).encode(),
                                   True, 2, "RangeError"),
     "integer-past-floats": (lambda: _text(_set_cells({(0, 1): "@"})).replace('"@"', "9" * 400)
-                            .encode(), False, 2, "OverflowError"),
+                            .encode(), False, 2, "RangeError"),
     # deeper than json's recursion limit, which orjson accepts
     "nested-1000": (lambda: _text(note="@").replace('"@"', _nested(1000)).encode(),
                     False, 2, "ParameterError"),
@@ -179,3 +179,40 @@ def test_orjson_nests_past_jsons_limit():
     orjson.loads(text)
     with pytest.raises(RecursionError):
         json.loads(text)
+
+
+_CAPPED = """
+import os, resource, sys
+import bkt.cli
+size = int(open("/proc/self/statm").read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+if sys.argv[1] != "none":
+    cap = size + int(sys.argv[1]) * (1 << 20)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(bkt.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS and /proc/self/statm")
+def test_perturb_under_an_address_space_cap_finishes_or_reports_memory_error(tmp_path):
+    # orjson 3.8 ends the process with SIGSEGV when an allocation fails.
+    # With 4-21 MB above the size after import, orjson would run out of room
+    # reading this 1.3 MB document, which json.loads now reads; from about
+    # 48 MB orjson reads it with little more than the room it reserves.
+    # Above 14 MB or so orjson writes the perturbed table.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_doc()))
+    argv = ["perturb", "--matrix", str(path), "--eps", "0.01"]
+
+    def run(headroom):
+        out = subprocess.run([sys.executable, "-c", _CAPPED, str(headroom), *argv],
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True)
+        return out.returncode, out.stdout
+
+    full = run("none")
+    assert full[0] == 0
+    outcomes = {headroom: run(headroom) for headroom in [*range(4, 22), 48, 51, 54]}
+    for headroom, (code, out) in outcomes.items():
+        assert (code, out) == full or (
+            code == 2 and json.loads(out)["error"]["kind"] == "MemoryError"), (headroom, code)
+    assert full in outcomes.values()

@@ -78,6 +78,17 @@ def test_rejects_negative_entry():
         validate_matrix([[0, -0.2], [1.2, 0]])
 
 
+@pytest.mark.parametrize("big", [10**400, -10**400, 2**1024],
+                         ids=["10**400", "-10**400", "2**1024"])
+def test_an_integer_past_the_float_range_is_a_range_error(big):
+    # as 1e400 reads as inf: outside [0, 1], not a bare OverflowError
+    with pytest.raises(RangeError) as exc:
+        validate_matrix([[None, big], [0, None]])
+    assert str(exc.value) == f"entry {float(np.sign(big) * np.inf)!r} outside [0, 1]"
+    with pytest.raises(RangeError):
+        validate_matrix(np.array([[None, big], [0, None]], dtype=object))
+
+
 def test_rejects_nan_off_diagonal():
     with pytest.raises(RangeError):
         validate_matrix([[0, float("nan")], [0.5, 0]])
@@ -259,7 +270,7 @@ def _outcome(build):
     ([[None, 0.5], [0.5]], "DimensionError"),  # ragged
     ([[[0.5], [0.5]], [[0.5], [0.5]]], "RangeError"),  # 3-D
     ([[None, {}], [{}, None]], "RangeError"),  # dict cells
-    ([[None, 10**400], [0, None]], "OverflowError"),  # too big for a float
+    ([[None, 10**400], [0, None]], "RangeError"),  # too big for a float
     ([[None, "0.25"], [" 0.75 ", None]], "ok"),  # numeric strings
     ([[None, "1_0"], ["-9", None]], "RangeError"),
     ([[None, "x"], [0.5, None]], "RangeError"),

@@ -12,9 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bkt
+from helpers import random_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
@@ -116,21 +118,30 @@ SLOW = ["bkt.draws", "bkt.winprob", "bkt.robustness", "bkt.solvers", "hashlib"]
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Paths of a 4-player 0/1 matrix file and a draw file, and of a
-    512-player matrix file of at least 1 MiB and its draw file."""
+    """Paths of a 4-player 0/1 matrix file and a draw file, of a 512-player
+    matrix file of at least 1 MiB and its draw file, and of 64- and
+    128-player interior matrix files of less than 1 MiB."""
     folder = tmp_path_factory.mktemp("inputs")
     (folder / "m.json").write_text(json.dumps(bkt.gen_hard(2).to_json_dict()))
+    for name, size in (("s", 64), ("i", 128)):
+        (folder / f"{name}.json").write_text(json.dumps(
+            random_matrix(np.random.default_rng(size), size, interior=True).to_json_dict()))
+    assert (folder / "i.json").stat().st_size < 1 << 20
     (folder / "d.json").write_text(json.dumps({"leaves": [1, 2, 3, 4]}))
     (folder / "large.json").write_text(json.dumps(bkt.gen_hard(9).to_json_dict()))
     assert (folder / "large.json").stat().st_size >= 1 << 20
     (folder / "ld.json").write_text(json.dumps({"leaves": list(range(1, 513))}))
-    return {name: str(folder / f"{name}.json") for name in ("m", "d", "large", "ld")}
+    return {name: str(folder / f"{name}.json") for name in ("m", "d", "large", "ld", "s", "i")}
 
 
 @pytest.mark.parametrize("argv, code, absent", [
     (["gen", "hard", "2"], 0, SLOW),
     (["gen", "threetier", "2", "--eps", "0.1"], 0, SLOW),
+    (["gen", "hard", "7"], 0, SLOW),  # 128 players, but two entries
     (["perturb", "--matrix", "M", "--eps", "0.1"], 0, SLOW[:-1]),
+    # orjson writes a table of 128 players or more with many entries
+    (["perturb", "--matrix", "S", "--eps", "0.05"], 0, SLOW[:-1]),
+    (["perturb", "--matrix", "I", "--eps", "0.05"], 0, SLOW[:-1]),
     (["solve", "tfp", "--matrix", "M", "--player", "1"], 0, ["bkt.robustness", "bkt.generators"]),
     (["solve", "ptfp", "--matrix", "M", "--player", "1", "--q", "0.5", "--heuristic"], 0,
      ["bkt.robustness", "bkt.generators"]),
@@ -142,15 +153,16 @@ def inputs(tmp_path_factory):
     (["winprob", "--matrix", "M", "--draw", "D"], 0,
      ["bkt.robustness", "bkt.solvers", "bkt.generators"]),
     (["draws", "count", "3"], 0, ["bkt.winprob", "bkt.solvers", "hashlib"]),
-    # orjson loads for an input of 1 MiB or more, and only then
+    # orjson reads an input of 1 MiB or more
     (["winprob", "--matrix", "L", "--draw", "LD"], 0,
      ["bkt.robustness", "bkt.solvers", "bkt.generators"]),
-], ids=["gen-hard", "gen-threetier", "perturb", "solve-tfp", "solve-ptfp", "solve-rtfp",
-        "solve-rptfp", "winprob", "draws-count", "winprob-large"])
+], ids=["gen-hard", "gen-threetier", "gen-hard-128", "perturb", "perturb-interior64",
+        "perturb-interior128", "solve-tfp", "solve-ptfp", "solve-rtfp", "solve-rptfp", "winprob",
+        "draws-count", "winprob-large"])
 def test_each_command_loads_only_what_it_runs(inputs, argv, code, absent):
-    large = "L" in argv
-    argv = [{"M": inputs["m"], "D": inputs["d"], "L": inputs["large"], "LD": inputs["ld"]}
-            .get(a, a) for a in argv]
+    orjson = "L" in argv or "I" in argv
+    argv = [{"M": inputs["m"], "D": inputs["d"], "L": inputs["large"], "LD": inputs["ld"],
+             "S": inputs["s"], "I": inputs["i"]}.get(a, a) for a in argv]
     got, numpy_at_import, loaded = _run(
         "import contextlib, io, json, sys\n"
         "import bkt.cli\n"
@@ -164,7 +176,7 @@ def test_each_command_loads_only_what_it_runs(inputs, argv, code, absent):
     assert got == code
     assert numpy_at_import  # so under the BLAS cap, before any command's imports
     assert not set(absent) & set(loaded), loaded
-    assert ("orjson" in loaded) == large, loaded
+    assert ("orjson" in loaded) == orjson, loaded
     if argv[0] == "gen":
         assert loaded == ["bkt.cli", "bkt.errors", "bkt.generators", "bkt.matrix"]
 
