@@ -456,8 +456,8 @@ def _cmd_draws(args) -> int:
     from .draws import enumerate_draws
 
     gen = enumerate_draws(args.n, allow_large=args.limit is not None or args.allow_large)
-    if args.limit is not None:
-        gen = itertools.islice(gen, args.limit)
+    if args.limit is not None:  # a limit past every draw lists them all
+        gen = itertools.islice(gen, min(args.limit, sys.maxsize))
     listed = [list(d.leaves) for d in gen]
     result = {"n": args.n, "draws": listed}
     lines = [" ".join(map(str, leaves)) for leaves in listed]

@@ -12,7 +12,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import PermutationError, ScaleError, _check_rounds
+from .errors import PermutationError, ScaleError, _check_memory, _check_rounds, _physical_memory
 
 # Full enumeration beyond 8 players is an explicit opt-in: 16 players already
 # have 638 512 875 equivalence classes.
@@ -119,8 +119,15 @@ def count_draws(n: int) -> int:
 
 
 def enumerate_draws(n: int, *, allow_large: bool = False) -> Iterator[Draw]:
-    """Yield every canonical draw in lexicographic order."""
-    N = 1 << _check_rounds(n)
+    """Yield every canonical draw in lexicographic order.
+
+    Even the first draw holds about N**2 / 4 bytes, in the N-bit label sets
+    of the 2N or so generators it suspends.  So, allow_large or not, a size
+    whose N**2 / 2 bytes exceed physical memory is refused up front.
+    """
+    n = _check_rounds(n)
+    _check_memory(2 * n - 1, f"listing draws of 2**{n} players", _physical_memory())
+    N = 1 << n
     if N > ENUMERATION_LIMIT and not allow_large:
         raise ScaleError(
             f"enumeration of {N} players needs allow_large=True "

@@ -1,10 +1,11 @@
 """Exception types shared across the package, the integer rule that round
-counts, players, seeds and restart counts share, and the real-number rule of
-the solvers' thresholds and bounds."""
+counts, players, seeds and restart counts share, the real-number rule of
+every real-valued parameter, and the physical-memory rule of scale checks."""
 
 import math
 import numbers
 import operator
+import os
 
 
 class BktError(Exception):
@@ -77,6 +78,30 @@ def _check_real(x, lo: float, hi: float, message: str) -> float:
     return float(x)
 
 
+def _check_number(x, name: str):
+    """x, once checked to be a real number by _check_real's rule; its range
+    is the caller's to check, with the caller's error kinds."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {x!r}")
+    return x
+
+
 def _check_rounds(n) -> int:
     """n as an int, once checked to be a positive round count."""
     return _check_integer(n, 1, math.inf, "round count must be a positive integer")
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(log2_bytes: int, what: str, memory: int | None) -> None:
+    """ScaleError if 2**log2_bytes bytes exceed memory (None: unknown),
+    compared by exponent so that an absurd size builds no huge integer."""
+    if memory is not None and log2_bytes >= memory.bit_length():
+        raise ScaleError(f"{what} needs 2**{log2_bytes} bytes, "
+                         f"more than the {memory} bytes of physical memory")

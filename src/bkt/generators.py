@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError, ScaleError, _check_rounds
+from .errors import (ParameterError, RangeError, _check_memory, _check_number, _check_rounds,
+                     _physical_memory)
 from .matrix import ComparisonMatrix, validate_matrix
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _check_n(n: int, table_extra: int | None = None) -> int:
@@ -27,14 +19,8 @@ def _check_n(n: int, table_extra: int | None = None) -> int:
     if table_extra is None:
         return n
     rounds = n + table_extra
-    memory = _physical_memory()
-    # the table's 8*N*N bytes are 2**(2*rounds + 3): compare exponents, so
-    # that an absurd round count builds no huge integer
-    if memory is not None and 2 * rounds + 3 >= memory.bit_length():
-        raise ScaleError(
-            f"a table of 2**{rounds} players needs 2**{2 * rounds + 3} bytes, "
-            f"more than the {memory} bytes of physical memory"
-        )
+    # the table's 8*N*N bytes are 2**(2*rounds + 3)
+    _check_memory(2 * rounds + 3, f"a table of 2**{rounds} players", _physical_memory())
     return n
 
 
@@ -92,7 +78,7 @@ def gen_bigsmall(n: int, p: float) -> BigSmallInstance:
     between 0.5 and 1.
     """
     n = _check_n(n, table_extra=0)
-    if not 0.5 < p < 1.0:
+    if not 0.5 < _check_number(p, "p") < 1.0:
         raise RangeError(f"p must lie strictly between 0.5 and 1, got {p}")
     size = 1 << n
     half = size // 2
@@ -120,7 +106,7 @@ def gen_threetier(n: int, eps: float) -> ComparisonMatrix:
     n = _check_n(n, table_extra=1)
     if n < 2:
         raise ParameterError("gen_threetier needs n >= 2")
-    if not 0.0 < eps < 0.5:
+    if not 0.0 < _check_number(eps, "eps") < 0.5:
         raise RangeError(f"eps must lie strictly between 0 and 0.5, got {eps}")
     size = 1 << (n + 1)
     half = size // 2
@@ -150,7 +136,7 @@ def uniform_perturbation(m: ComparisonMatrix, eps: float) -> ComparisonMatrix:
     0 becomes eps, 1 becomes 1 - eps, interior values stay put.  Useful for
     smoothing a deterministic instance before sensitivity analysis.
     """
-    if not 0.0 < eps < 0.5:
+    if not 0.0 < _check_number(eps, "eps") < 0.5:
         raise RangeError(f"eps must lie strictly between 0 and 0.5, got {eps}")
     arr = m.probs.copy()  # validate_matrix resets the diagonal this moves
     arr[arr == 0.0] = eps
@@ -165,7 +151,7 @@ def hard_path_probability(k: int, eps: float) -> float:
     with itself once per round.
     """
     k = _check_n(k)
-    if not 0.0 <= eps < 0.5:
+    if not 0.0 <= _check_number(eps, "eps") < 0.5:
         raise RangeError(f"eps must lie in [0, 0.5), got {eps}")
     p = 1.0 - eps
     for _ in range(k - 1):
@@ -180,7 +166,7 @@ def bigsmall_even_probability(k: int, eps: float) -> float:
     e_1 = 1/2 + eps, where eps = p - 1/2.
     """
     k = _check_n(k)
-    if not 0.0 <= eps < 0.5:
+    if not 0.0 <= _check_number(eps, "eps") < 0.5:
         raise RangeError(f"eps must lie in [0, 0.5), got {eps}")
     e = 0.5 + eps
     for _ in range(k - 1):
@@ -197,6 +183,6 @@ def compose_big_win(left: float, right: float, p: float) -> float:
     p*(left + right) + (1 - 2p)*left*right.
     """
     for name, v in (("left", left), ("right", right), ("p", p)):
-        if not 0.0 <= v <= 1.0:
+        if not 0.0 <= _check_number(v, name) <= 1.0:
             raise RangeError(f"{name} must lie in [0, 1], got {v}")
     return p * (left + right) + (1.0 - 2.0 * p) * left * right

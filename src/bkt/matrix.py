@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComplementarityError, DimensionError, RangeError, _check_integer
+from .errors import ComplementarityError, DimensionError, RangeError, _check_integer, _check_number
 
 # Tolerance for P[i,j] + P[j,i] = 1.  Entries themselves are checked against
 # [0, 1] exactly.
@@ -56,7 +56,7 @@ class ComparisonMatrix:
     def with_entry(self, i: int, j: int, p: float) -> "ComparisonMatrix":
         """New matrix with P[i,j] = p and P[j,i] = 1 - p (1-based, i != j)."""
         i, j = self._pair(i, j)
-        if not 0.0 <= p <= 1.0:
+        if not 0.0 <= _check_number(p, "p") <= 1.0:
             raise RangeError(f"entry {p!r} outside [0, 1]")
         out = self.probs.copy()
         out[i - 1, j - 1] = p

@@ -27,9 +27,9 @@ from .errors import (
     NonpositiveEpsilon,
     NotDeterministic,
     NotWinner,
-    ParameterError,
     RangeError,
     ScaleError,
+    _check_number,
 )
 from .matrix import ComparisonMatrix, _check_player, validate_matrix
 from .winprob import _checked, _contributions, _leaf_stacks, _reach, _slopes, _winner_levels
@@ -147,9 +147,7 @@ class DropEstimate:
 
 
 def _check_eps(eps: float) -> None:
-    if isinstance(eps, bool):
-        raise ParameterError(f"eps must be a number, got {eps!r}")
-    if not eps > 0.0:  # also rejects NaN
+    if not _check_number(eps, "eps") > 0.0:  # also rejects NaN
         raise NonpositiveEpsilon(f"eps must be positive, got {eps}")
     if eps > 1.0:  # also rejects inf, and keeps S * eps finite
         raise RangeError(f"eps must be at most 1, as no entry can move further; got {eps}")

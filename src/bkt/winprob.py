@@ -52,33 +52,26 @@ def _leaf_stacks(m: ComparisonMatrix, rows: np.ndarray):
 def _sibling_sums(pq: np.ndarray, r: np.ndarray, half: int) -> np.ndarray:
     """s[b, t] = sum of pq[b, t, u] * r[b, u] over u in the sibling half of t.
 
-    Blocks have size 2*half; the diagonal blocks of every stack entry are
-    read through one strided view, so a whole level merges at once.  Up to
-    half = 2 a sum has one or two terms, which add alike in either order:
-    products and one add give einsum's bits, and the closing + 0.0 turns a
-    -0.0 sum into the +0.0 that einsum's accumulator gives.
+    Blocks have size 2*half, and a whole level merges at once.  Up to
+    half = 2 each leaf's one or two sibling terms are gathered and added to
+    0.0 in order, as einsum's accumulator adds them: einsum's bits, a -0.0
+    sum turned to +0.0 included.  Wider levels run einsum on the diagonal
+    blocks of every stack entry, read through one strided view.
     """
     B, N = r.shape
+    if half <= 2:
+        t = np.arange(N)
+        s = 0.0
+        for j in range(half):
+            u = ((t // half) ^ 1) * half + j
+            s = s + pq[:, t, u] * r[:, u]
+        return s
     nb = N // (2 * half)
+    blocks = np.diagonal(pq.reshape(B, nb, 2 * half, nb, 2 * half), axis1=1, axis2=3)
+    r = r.reshape(B, nb, 2, half)
     s = np.empty((B, nb, 2, half))
-    if half > 2:
-        blocks = np.diagonal(pq.reshape(B, nb, 2 * half, nb, 2 * half), axis1=1, axis2=3)
-        r = r.reshape(B, nb, 2, half)
-        s[:, :, 0] = np.einsum("bijk,bkj->bki", blocks[:, :half, half:], r[:, :, 1])
-        s[:, :, 1] = np.einsum("bijk,bkj->bki", blocks[:, half:, :half], r[:, :, 0])
-        return s.reshape(B, N)
-    # cross[side, i, j, b, k]: row i of half `side` of block k against
-    # column j of the other half, and rs[side, j, b, k] that column's r;
-    # the (b, k) axes go last so each product runs along the blocks
-    halves = pq.reshape(B, nb, 2, half, nb, 2, half)[:, :, :, :, :, ::-1]
-    cross = np.diagonal(np.diagonal(halves, axis1=1, axis2=4), axis1=1, axis2=3)
-    cross = cross.transpose(4, 1, 2, 0, 3)
-    rs = r.reshape(B, nb, 2, half)[:, :, ::-1].transpose(2, 3, 0, 1)
-    out = s.transpose(2, 3, 0, 1)
-    np.multiply(cross[:, :, 0], rs[:, None, 0], out=out, order="C")
-    if half == 2:
-        np.add(out, cross[:, :, 1] * rs[:, None, 1], out=out, order="C")
-    s += 0.0
+    s[:, :, 0] = np.einsum("bijk,bkj->bki", blocks[:, :half, half:], r[:, :, 1])
+    s[:, :, 1] = np.einsum("bijk,bkj->bki", blocks[:, half:, :half], r[:, :, 0])
     return s.reshape(B, N)
 
 

@@ -107,7 +107,7 @@ def _stack_win_probabilities(stack, leaves):
 
 def einsum_sibling_sums(pq, r, half):
     """`winprob._sibling_sums` with `einsum` at every level, frozen: the
-    kernel's explicit sums at half 1 and 2 must give its bits."""
+    kernel's gathered sums at half 1 and 2 must give its bits."""
     B, N = r.shape
     nb = N // (2 * half)
     blocks = np.diagonal(pq.reshape(B, nb, 2 * half, nb, 2 * half), axis1=1, axis2=3)

@@ -614,6 +614,32 @@ def test_draws_list_rejects_a_negative_limit(capsys):
     code, doc = run_json(capsys, "draws", "list", "3", "--limit", "0")
     assert code == 0
     assert doc["result"]["draws"] == []
+    # past sys.maxsize, where islice refuses a stop: such a limit lists all
+    code, doc = run_json(capsys, "draws", "list", "2", "--limit", "9" * 23)
+    assert code == 0
+    assert doc["result"]["draws"] == [[1, 2, 3, 4], [1, 3, 2, 4], [1, 4, 2, 3]]
+
+
+def test_draws_list_refuses_a_size_past_physical_memory():
+    # the first draw holds about N**2 / 4 bytes: 1.2 GB at 2**16 players,
+    # which still list, and 275 GB at 2**20, refused before it is built
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():  # 3 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    def first_draw(n):
+        return subprocess.run(
+            [sys.executable, "-m", "bkt.cli", "draws", "list", str(n), "--limit", "1"],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+            preexec_fn=cap_address_space)
+
+    out = first_draw(20)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert json.loads(out.stdout)["error"]["kind"] == "ScaleError"
+    out = first_draw(16)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert json.loads(out.stdout)["result"]["draws"] == [list(range(1, 65537))]
 
 
 def test_draws_list_starts_promptly_at_thirty_two_players():

@@ -16,6 +16,7 @@ from bkt import (
     draw_from_json_dict,
     enumerate_draws,
 )
+import bkt.draws
 from bkt.draws import _canon, _canon_rows, _canonical_sequences
 from helpers import is_canonical_sequence, round_signature, scramble
 
@@ -108,6 +109,18 @@ def test_enumerate_guard_and_override():
     first = list(itertools.islice(enumerate_draws(4, allow_large=True), 3))
     assert first[0].leaves == tuple(range(1, 17))
     assert all(d.is_canonical for d in first)
+
+
+def test_enumeration_past_physical_memory_is_refused_before_building(monkeypatch):
+    # 2**11 players would take about 2**21 bytes: refused at 1 MiB whatever
+    # allow_large says, while 2**10 players still list
+    monkeypatch.setattr(bkt.draws, "_physical_memory", lambda: 1 << 20)
+    for n, allow_large in ((11, False), (11, True), (10**9, True)):
+        with pytest.raises(ScaleError, match="physical memory"):
+            enumerate_draws(n, allow_large=allow_large)
+    assert next(enumerate_draws(10, allow_large=True)).leaves == tuple(range(1, 1025))
+    with pytest.raises(ScaleError, match="allow_large"):
+        enumerate_draws(10)
 
 
 def test_enumerate_sixteen_players_prefix_matches_brute_force():

@@ -7,15 +7,19 @@ from bkt import (
     ScaleError,
     bigsmall_even_probability,
     compose_big_win,
+    drop_estimate,
+    exact_worst_drop_oracle,
     gen_bigsmall,
     gen_hard,
     gen_threetier,
     gen_unbalanced,
     hard_path_probability,
+    sensitivity,
     uniform_perturbation,
     validate_matrix,
     win_probabilities,
     winner,
+    worst_perturbation_witness,
 )
 from bkt import generators
 from helpers import hard_by_spawning, unbalanced_by_loop
@@ -379,3 +383,28 @@ def test_absurd_round_count_is_refused_without_building_it(monkeypatch):
 def test_unknown_physical_memory_skips_the_check(monkeypatch):
     monkeypatch.setattr(generators, "_physical_memory", lambda: None)
     assert gen_hard(3).size == 8
+
+
+_EVEN4 = validate_matrix(np.where(np.eye(4), 0.0, 0.5))
+_REPORT = sensitivity(_EVEN4, (1, 2, 3, 4), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: gen_bigsmall(2, x),
+    lambda x: gen_threetier(2, x),
+    lambda x: uniform_perturbation(gen_hard(2), x),
+    lambda x: hard_path_probability(3, x),
+    lambda x: bigsmall_even_probability(3, x),
+    lambda x: compose_big_win(x, 0.5, 0.7),
+    lambda x: compose_big_win(0.5, x, 0.7),
+    lambda x: compose_big_win(0.5, 0.5, x),
+    lambda x: gen_hard(2).with_entry(1, 2, x),
+    lambda x: drop_estimate(_REPORT, x),
+    lambda x: worst_perturbation_witness(_REPORT, _EVEN4, x),
+    lambda x: exact_worst_drop_oracle(_EVEN4, (1, 2, 3, 4), 1, x),
+])
+@pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(True)])
+def test_real_parameters_refuse_what_is_no_real_number(call, bad):
+    # the solvers' rule: numpy's numbers count, a bool or a string does not
+    with pytest.raises(ParameterError, match="must be a real number"):
+        call(bad)

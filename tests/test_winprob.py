@@ -21,7 +21,8 @@ from bkt import (
 import bkt.winprob
 from bkt.draws import _canon_rows
 from bkt.solvers import _swaps
-from bkt.winprob import _leaf_stacks, _player_reach, _reach, _reach_adjoint, _sibling_sums
+from bkt.winprob import (_CHUNK_CELLS, _leaf_stacks, _player_reach, _reach, _reach_adjoint,
+                         _sibling_sums)
 from helpers import (
     einsum_sibling_sums,
     random_deterministic,
@@ -184,19 +185,22 @@ def signed_zero_stack(rng, size, count):
     return np.stack(out)
 
 
-@pytest.mark.parametrize("size", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32, 64, 128])
 def test_sibling_sums_give_the_einsum_bits(size):
-    # the explicit sums at half 1 and 2 and einsum above, against einsum
+    # the gathered sums at half 1 and 2 and einsum above, against einsum
     # everywhere: interior, 0/1 and signed-zero entries and reach values,
-    # and the signed values the adjoint feeds in
+    # and the signed values the adjoint feeds in; the last four batches are
+    # as tall as a _leaf_stacks chunk, the shape the evaluators feed in
     rng = np.random.default_rng(40 + size)
-    for case in range(40):
-        B = int(rng.integers(1, 9))
+    for case in range(44):
+        B = int(rng.integers(1, 9)) if case < 40 else _CHUNK_CELLS // size**2
         pq, r = rng.random((B, size, size)), rng.random((B, size))
         if case % 4 == 1:
             pq = np.round(pq)
         elif case % 4 == 2:
-            pq = signed_zero_stack(rng, size, B)
+            # a tall batch repeats eight matrices: validating each is slow
+            pq = signed_zero_stack(rng, size, min(B, 8))
+            pq = pq[np.arange(B) % len(pq)]
             r = np.where(rng.random(r.shape) < 0.3, -0.0, np.round(r))
         elif case % 4 == 3:
             pq, r = rng.standard_normal(pq.shape), rng.standard_normal(r.shape)
@@ -207,13 +211,17 @@ def test_sibling_sums_give_the_einsum_bits(size):
             half *= 2
 
 
-@pytest.mark.parametrize("size", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("size", [2, 4, 8, 16, 32, 64, 128])
 def test_kernel_and_adjoint_give_the_einsum_bits(size, monkeypatch):
-    # both passes read _sibling_sums; the reference runs them on einsum's
+    # both passes read _sibling_sums; the reference runs them on einsum's.
+    # The last stack is as tall as a _leaf_stacks chunk, eight signed-zero
+    # matrices repeated
     rng = np.random.default_rng(50 + size)
     stacks = [signed_zero_stack(rng, size, 4)]
     for make in (random_matrix, random_deterministic, random_mixed):
         stacks.append(np.stack([make(rng, size).probs for _ in range(4)]))
+    tall = signed_zero_stack(rng, size, 8)
+    stacks.append(tall[np.arange(_CHUNK_CELLS // size**2) % 8])
     for pq in stacks:
         perm = rng.permutation(size)
         pq = np.ascontiguousarray(pq[:, perm[:, None], perm])
