@@ -137,70 +137,6 @@ def _load_draw(path: str, taken: set, inputs: dict, warnings: list):
     return d
 
 
-_SCALARS = {str, int, float, bool, type(None)}
-
-
-def _key(k) -> str:
-    # the encoder's own rules for keys (str, int, float, bool or None), quoted
-    return json.dumps({k: 0})[1:-4]
-
-
-def _dumps(obj, depth: int = 0) -> str:
-    """The text of json.dumps(obj, indent=2), through the C encoder.
-
-    With an indent the json module encodes one value per Python call.  A
-    container whose members are all plain scalars is encoded here in one
-    compact call whose item separator carries the indentation; only its
-    brackets are re-indented.  A list of same-keyed rows of scalars is
-    encoded one column at a time (_table_rows).  Deeper containers are
-    walked.
-    """
-    is_dict = isinstance(obj, dict)
-    if not is_dict and not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    brackets = "{}" if is_dict else "[]"
-    if not obj:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    outer = "\n" + "  " * depth
-    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
-        body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-    elif is_dict:
-        body = ("," + inner).join(f"{_key(k)}: {_dumps(v, depth + 1)}" for k, v in obj.items())
-    else:
-        rows = _table_rows(obj, depth + 1)
-        if rows is None:
-            rows = (_dumps(v, depth + 1) for v in obj)
-        body = ("," + inner).join(rows)
-    return brackets[0] + inner + body + outer + brackets[1]
-
-
-def _table_rows(obj, depth: int):
-    """The text of each row, at depth, if obj holds two or more non-empty
-    dicts with the same keys in the same order and only scalar values;
-    else None.
-
-    Each column is encoded in one call, split on its "\n" separators as
-    in _matrix_lines, and each row is joined by one template.
-    """
-    if len(obj) < 2 or set(map(type, obj)) != {dict} or len(set(map(tuple, obj))) > 1:
-        return None
-    keys = tuple(obj[0])
-    if not keys:
-        return None
-    # equal keys may still print apart (1, 1.0 and True; 0.0 and -0.0)
-    if not all(type(k) is str for k in keys) and len({tuple(map(_key, r)) for r in obj}) > 1:
-        return None
-    columns = list(zip(*map(dict.values, obj)))
-    if not set(map(type, itertools.chain.from_iterable(columns))) <= _SCALARS:
-        return None
-    words = [json.dumps(c, separators=("\n", ""))[1:-1].split("\n") for c in columns]
-    inner = "\n" + "  " * (depth + 1)
-    template = "{" + inner + ("," + inner).join(
-        _key(k).replace("%", "%%") + ": %s" for k in keys) + "\n" + "  " * depth + "}"
-    return map(template.__mod__, zip(*words))
-
-
 _CHUNK_CELLS = 1 << 16  # matrix cells joined into one write
 # A table of more distinct entries than this, and of at least
 # _ORJSON_MIN_CELLS cells, is written by orjson.  Below that size orjson's
@@ -259,13 +195,73 @@ def _orjson_matrix(m: ComparisonMatrix) -> str:
     _reserve(arr.size * _ORJSON_CELL_BYTES)
     doc = orjson.dumps({"n": m.n, "matrix": arr},
                        option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY)
+    # entries in [0, 1] differ only below 1e-4, found 20x faster here than in text
     if ((m.probs > 0.0) & (m.probs < 1e-4)).any():
-        # orjson writes only these entries apart from json: 1e-05 as 0.00001
-        # and 1e-06 as 1e-6.  Each pattern starts with a literal, which re
-        # finds fast (0.1 s on 21 MB, where a line-anchored one takes 0.9 s).
-        doc = re.sub(rb"0\.0000\d+", lambda t: repr(float(t[0])).encode(), doc)
-        doc = re.sub(rb"e-(\d)(?!\d)", rb"e-0\1", doc)
+        doc = _as_json_floats(doc)
     return doc.decode()
+
+
+# orjson writes a float as json does but for |x| in [1e-5, 1e-4) (0.00001
+# for 1e-05), a one-digit negative exponent (1e-6 for 1e-06) and |x| >= 1e16
+# (1e16 for 1e+16), which the callers keep from it.  Each pattern starts with
+# a literal: a leading lookbehind made a split of 22 MB take 0.6 s, not 0.04 s.
+_DECIMAL = re.compile(rb"(0\.0000\d+)")
+_EXPONENT = re.compile(rb"(e-\d+)")
+# A report result of fewer values than this is written by json.dumps, at
+# about 1 us a value, as orjson's import alone takes 4.3-9 ms: at 32 players
+# (6 529 values) a drop report took json 6.6 ms, and orjson about as long.
+_ORJSON_MIN_VALUES = 1 << 13
+# Address space orjson.dumps may take, per value of a result: a member's
+# text, indent and key take at most 64 bytes, and its buffer may be twice that.
+_ORJSON_VALUE_BYTES = 128
+
+
+def _as_json_floats(doc: bytes) -> bytes:
+    """orjson's text doc, of no float past 1e16, as json writes it."""
+    parts = _DECIMAL.split(doc)
+    # a token after a digit is inside a number such as 10.00001
+    parts[1::2] = [t if p[-1:].isdigit() else repr(float(t)).encode()
+                   for p, t in zip(parts[::2], parts[1::2])]
+    parts = _EXPONENT.split(b"".join(parts))
+    parts[1::2] = [b"e-0" + t[2:] if len(t) == 3 else t for t in parts[1::2]]
+    return b"".join(parts)
+
+
+def _census(result) -> tuple[int, bool]:
+    """(the number of values in result at every depth, whether every float
+    is finite and below 1e16 in magnitude), a depth at a time.  Only plain
+    dicts, lists and tuples are entered, as orjson takes no subclass."""
+    level, values, plain = [result], 0, True
+    while level:
+        members = list(itertools.chain.from_iterable(
+            [v.values() if type(v) is dict else v for v in level]))
+        kinds = list(map(type, members))
+        values += len(members)
+        floats = itertools.compress(members, map({float}.__contains__, kinds))
+        plain = plain and all(map((1e16).__gt__, map(abs, floats)))
+        level = list(itertools.compress(members, map({dict, list, tuple}.__contains__, kinds)))
+    return values, plain
+
+
+def _report(command: str, inputs: dict, result, warnings: list) -> str:
+    """The text of json.dumps of the report envelope, indent=2.  A result of
+    _ORJSON_MIN_VALUES values or more that _census passes is written by one
+    orjson call unless orjson refuses it (an integer past 64 bits, a key not
+    a str, a numpy scalar); json writes the user text around it."""
+    doc = {"command": command, "inputs": inputs, "result": result, "warnings": warnings}
+    values, plain = _census(result)
+    if values < _ORJSON_MIN_VALUES or not plain:
+        return json.dumps(doc, indent=2)
+    import orjson
+
+    _reserve(values * _ORJSON_VALUE_BYTES)
+    try:
+        body = orjson.dumps(result, option=orjson.OPT_INDENT_2 | orjson.OPT_PASSTHROUGH_SUBCLASS)
+    except orjson.JSONEncodeError:
+        return json.dumps(doc, indent=2)
+    body = _as_json_floats(body).replace(b"\n", b"\n  ").decode()
+    head = json.dumps({"command": command, "inputs": inputs}, indent=2)[:-2]
+    return f'{head},\n  "result": {body},{json.dumps({"warnings": warnings}, indent=2)[1:]}'
 
 
 def _print_matrix(m: ComparisonMatrix, pretty: bool) -> None:
@@ -292,8 +288,7 @@ def _emit_report(args, inputs: dict, result: dict, warnings: list,
         for w in warnings:
             print(f"warning: {w}")
     else:
-        print(_dumps({"command": " ".join(args.invocation), "inputs": inputs,
-                      "result": result, "warnings": warnings}))
+        print(_report(" ".join(args.invocation), inputs, result, warnings))
 
 
 def _cmd_gen(args) -> int:
@@ -391,7 +386,7 @@ def _cmd_crucial(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .solvers import SolveRequest, solve
+    from .solvers import DRAW_BUDGET, SolveRequest, solve
 
     taken, inputs, warnings = set(), {}, []
     m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
@@ -404,6 +399,8 @@ def _cmd_solve(args) -> int:
     res = solve(req, restarts=args.restarts, seed=args.seed)
     if not res.answer and not res.exact:
         warnings.append("heuristic search found no witness; the answer is inconclusive")
+    if res.budget_spent:
+        warnings.append(f"the search stopped at its budget of {DRAW_BUDGET} examined draws")
     lines = [f"answer: {res.verdict}"]
     if res.witness is not None:
         lines.append(f"witness: {' '.join(map(str, res.witness.leaves))}")

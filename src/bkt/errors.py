@@ -99,9 +99,15 @@ def _physical_memory() -> int | None:
         return None
 
 
+# Where physical memory is unknown, sizes are held to the most bytes an
+# array can span, 2**63 - 1, as no host can address more.
+_ADDRESSABLE = (1 << 63) - 1
+
+
 def _check_memory(log2_bytes: int, what: str, memory: int | None) -> None:
     """ScaleError if 2**log2_bytes bytes exceed memory (None: unknown),
     compared by exponent so that an absurd size builds no huge integer."""
-    if memory is not None and log2_bytes >= memory.bit_length():
-        raise ScaleError(f"{what} needs 2**{log2_bytes} bytes, "
-                         f"more than the {memory} bytes of physical memory")
+    if log2_bytes >= (_ADDRESSABLE if memory is None else memory).bit_length():
+        where = ("any host can address" if memory is None
+                 else f"the {memory} bytes of physical memory")
+        raise ScaleError(f"{what} needs 2**{log2_bytes} bytes, more than {where}")

@@ -22,11 +22,17 @@ import numpy as np
 
 from .draws import Draw, _canon_rows, _canonical_sequences
 from .errors import (NoWinningDraw, NotDeterministic, ParameterError, ScaleError, _check_integer,
-                     _check_real)
+                     _check_memory, _check_real, _physical_memory)
 from .matrix import ComparisonMatrix, _check_player
 from .winprob import _drop_coefficients, _player_reach, _row_keys, _slopes, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
+# Draws the heuristic search may examine.  It stops at the first
+# neighbourhood past this, with a not-found answer, and a size whose one
+# neighbourhood holds more draws is refused.  The benchmark's searches
+# examine at most 26 281 draws; at 128 players a draw takes 26-45 us on a
+# 2-CPU host, so a search there ends within about 5 s.
+DRAW_BUDGET = 100_000
 _WP_ATOL = 1e-9
 
 _PROBLEMS = ("TFP", "PTFP", "RTFP", "RPTFP")
@@ -84,6 +90,7 @@ class SolveResult:
     drop_coefficient: float | None
     draws_examined: int
     exact: bool  # exhaustive scan: a negative answer is a proof
+    budget_spent: bool = False  # the search stopped at DRAW_BUDGET
 
     @property
     def verdict(self) -> str:
@@ -176,6 +183,11 @@ def _solve_exact(req: SolveRequest) -> SolveResult:
     return SolveResult(True, d, *hit, k, True)
 
 
+def _neighbourhood_size(size: int) -> int:
+    """The number of rows of _swaps(size)."""
+    return sum(math.comb(size >> k, 2) for k in range(size.bit_length() - 1))
+
+
 @functools.cache
 def _swaps(size: int) -> np.ndarray:
     """Leaf index rows of every swap of two equal aligned blocks.
@@ -196,6 +208,12 @@ def _swaps(size: int) -> np.ndarray:
 
 def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult:
     size = req.matrix.size
+    step = _neighbourhood_size(size)
+    if step > DRAW_BUDGET:
+        raise ScaleError(f"a heuristic search of {size} players examines {step} draws a step, "
+                         f"more than its budget of {DRAW_BUDGET}")
+    _check_memory((step * size * 8 - 1).bit_length(), f"the {step} swaps of {size} players",
+                  _physical_memory())
     # every examined draw, as a key into the columns of one score table
     # (primary, secondary), which doubles whenever it fills
     seen: dict[bytes, int] = {}
@@ -241,6 +259,8 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
             return found(*hit)
         cur, cur_score = rows[0], tuple(table[:, cols[0]].tolist())
         while True:
+            if len(seen) >= DRAW_BUDGET:
+                return SolveResult(False, None, None, None, len(seen), False, budget_spent=True)
             rows = _canon_rows(cur[_swaps(size)])
             cols, hit = visit(rows)
             if hit:

@@ -144,6 +144,51 @@ def two_point_slopes(m, d, player):
     return pairs, hi - lo, lo
 
 
+def corner_descent(m, leaves, player, eps, starts, max_steps=10**9):
+    """(wp, table) of the lowest eps-box corner that coordinate descent
+    reaches from any start: a falsifier of the first-order floor, not a
+    proof of the minimum.
+
+    A corner moves each pair i < j, in lexicographic order, to the low or
+    the high end of [p - eps, p + eps] clipped to [0, 1]; a start is a bool
+    vector, True for the high end.  Each step evaluates, as one stack and
+    by the textbook recursion, every single-pair flip of the current corner
+    that can move the player's wp: a pair with the player, or inside one
+    of the subtrees whose winner the player meets.  It takes the best flip
+    while that lowers wp.
+    """
+    rows, cols = np.triu_indices(m.size, 1)
+    p = m.probs[rows, cols]
+    ends = np.stack([np.maximum(p - eps, 0.0), np.minimum(p + eps, 1.0)])
+    leaf = np.argsort(np.asarray(leaves) - 1)  # of each player
+    meets = np.array([int(x).bit_length() for x in leaf ^ leaf[player - 1]])  # round
+    (live,) = np.nonzero((rows == player - 1) | (cols == player - 1)
+                         | (meets[rows] == meets[cols]))
+
+    def tables(highs):
+        stack = np.repeat(m.probs[None], len(highs), axis=0)
+        vals = np.where(highs, ends[1], ends[0])
+        stack[:, rows, cols] = vals
+        stack[:, cols, rows] = 1.0 - vals
+        return stack
+
+    best = (np.inf, None)
+    for start in starts:
+        high = np.asarray(start, dtype=bool)
+        wp = _stack_win_probabilities(tables(high[None]), leaves)[0, player - 1]
+        for _ in range(max_steps):
+            flips = np.repeat(high[None], len(live), axis=0)
+            flips[np.arange(len(live)), live] ^= True
+            wps = _stack_win_probabilities(tables(flips), leaves)[:, player - 1]
+            j = int(np.argmin(wps))
+            if not wps[j] < wp:
+                break
+            high, wp = flips[j], wps[j]
+        if wp < best[0]:
+            best = (float(wp), tables(high[None])[0])
+    return best
+
+
 def reference_witness(report, m, eps):
     """worst_perturbation_witness one pair at a time.
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import itertools
@@ -7,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +29,7 @@ from bkt import (
     uniform_perturbation,
     validate_matrix,
 )
-from bkt.cli import _dumps, _matrix_lines, main
+from bkt.cli import _as_json_floats, _matrix_lines, main
 from helpers import random_matrix, random_mixed
 
 
@@ -155,23 +157,37 @@ def test_a_large_many_valued_matrix_is_written_whole_by_orjson(capsys, monkeypat
 
 
 def test_orjson_writes_entries_outside_0_to_1e_4_as_json_does():
-    # the premise of the orjson writer: only the entries in (0, 1e-4) are
-    # rewritten, and a NaN diagonal reads null
+    # the premise of both orjson writers: orjson writes a float as json does
+    # unless 0 < |x| < 1e-4, which _as_json_floats rewrites, or |x| >= 1e16,
+    # which it writes 1e16 where json writes 1e+16; a NaN diagonal reads null
     import orjson
 
     rng = np.random.default_rng(2016)
     values = np.concatenate([rng.random(100_000), 10.0 ** rng.uniform(-4, 0, 20_000),
                              10.0 ** rng.uniform(-330, -4, 2_000),
+                             10.0 ** rng.uniform(0, 16, 20_000),
+                             10.0 ** rng.uniform(16, 308.2, 2_000),
                              [1e-4, math.nextafter(1e-4, 0.0), 9.5e-05, 1 - 2**-53,
-                              -0.0, 5e-324, 0.0, 1.0]])
+                              -0.0, 5e-324, 0.0, 1.0, 10.00001, 100.000012, 1e15,
+                              math.nextafter(1e16, 0.0), 1e16, 1.7976931348623157e308]])
+    values = np.concatenate([values, -values])
     got = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2)
     got = [w.rstrip(",") for w in got.decode().split()[1:-1]]
     want = [json.dumps(v) for v in values.tolist()]
-    outside = (values == 0.0) | (values >= 1e-4)
+    size = np.abs(values)
+    outside = (size == 0.0) | ((size >= 1e-4) & (size < 1e16))
     assert [g for g, o in zip(got, outside) if o] == [w for w, o in zip(want, outside) if o]
-    # inside, the digits agree: repr of the value orjson wrote is json's text
-    assert [repr(float(g)) for g, o in zip(got, outside) if not o] == \
-        [w for w, o in zip(want, outside) if not o]
+    # below 1e-4, the digits agree: repr of the value orjson wrote is json's text
+    tiny = ~outside & (size < 1e-4)
+    assert [repr(float(g)) for g, t in zip(got, tiny) if t] == [w for w, t in zip(want, tiny) if t]
+    # from 1e16 up, only the sign of the exponent is missing
+    huge = size >= 1e16
+    assert [g for g, h in zip(got, huge) if h] == [w.replace("e+", "e") for w, h in zip(want, huge)
+                                                  if h]
+    # and below 1e16 the rules make orjson's text json's
+    below = values[~huge].tolist()
+    assert _as_json_floats(orjson.dumps(below, option=orjson.OPT_INDENT_2)) == \
+        json.dumps(below, indent=2).encode()
     assert orjson.dumps(np.array([np.nan]), option=orjson.OPT_SERIALIZE_NUMPY) == b"[null]"
 
 
@@ -199,6 +215,21 @@ def test_gen_past_physical_memory_is_a_scale_error(capsys, monkeypatch):
     code, doc = run_json(capsys, "gen", "hard", "10")
     assert code == 2
     assert doc["error"]["kind"] == "ScaleError"
+
+
+@pytest.mark.parametrize("argv", [["gen", "hard", "100000"], ["gen", "hard", "62"],
+                                  ["draws", "list", "100000"]])
+def test_sizes_past_any_address_space_are_scale_errors_where_memory_is_unknown(
+        capsys, monkeypatch, argv):
+    # numpy's size limits and Python's digit limit would raise ValueError
+    import bkt.draws
+
+    monkeypatch.setattr(bkt.generators, "_physical_memory", lambda: None)
+    monkeypatch.setattr(bkt.draws, "_physical_memory", lambda: None)
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["kind"] == "ScaleError"
+    assert "any host can address" in doc["error"]["message"]
 
 
 def test_gen_families_and_parameters(capsys):
@@ -483,6 +514,43 @@ def test_solve_draws_each_restart_only_when_it_starts(tmp_path):
     assert result["draws_examined"] == 1
 
 
+def test_solve_at_128_players_ends_at_its_draw_budget(tmp_path):
+    # no draw reaches q = 1 on an interior matrix, so every restart would
+    # climb to its end: no answer after 7 minutes before the budget
+    src = write_json(tmp_path / "m.json",
+                     random_matrix(np.random.default_rng(10), 128, interior=True).to_json_dict())
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "bkt.cli", "solve", "ptfp", "--matrix", src, "--player", "1",
+         "--q", "1.0"],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert time.perf_counter() - start < 60
+    assert out.returncode == 1, out.stdout + out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["result"]["answer"] == "not-found"
+    assert doc["result"]["draws_examined"] >= bkt.solvers.DRAW_BUDGET
+    assert f"budget of {bkt.solvers.DRAW_BUDGET} examined draws" in doc["warnings"][-1]
+
+
+def test_solve_at_1024_players_is_refused_before_its_swaps_are_built(tmp_path):
+    # one neighbourhood holds 698 027 draws of 1 024 entries, 5.7 GB
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():  # 2 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = write_json(tmp_path / "m.json", gen_hard(10).to_json_dict())
+    out = subprocess.run(
+        [sys.executable, "-m", "bkt.cli", "solve", "ptfp", "--matrix", src, "--player", "1",
+         "--q", "1.0"],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+        preexec_fn=cap_address_space)
+    assert out.returncode == 2, out.stdout + out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error["kind"] == "ScaleError"
+    assert "698027 draws a step" in error["message"]
+
+
 def test_solve_requires_problem_parameters(capsys, hard2):
     with pytest.raises(SystemExit):
         main(["solve", "rtfp", "--matrix", hard2, "--player", "1"])
@@ -724,79 +792,95 @@ def test_invalid_matrix_content(capsys, tmp_path, ident4):
 # --------------------------------------------------------------- json output
 
 
-_json_scalars = (st.none() | st.booleans() | st.integers()
-                 | st.floats(allow_nan=True, allow_infinity=True) | st.text())
-_json_keys = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
-
-
-@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
-@given(st.recursive(
-    _json_scalars,
-    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
-                  | st.dictionaries(_json_keys, kids)),
-    max_leaves=40,
-))
-def test_dumps_matches_indented_json(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
-
-
-_cell_values = _json_scalars | st.sampled_from(
-    [float("nan"), float("inf"), float("-inf"), -0.0, "a\nb", "\u2028", "%s", "{}"])
-_row_keys = _json_keys | st.sampled_from(
-    [1, "1", 1.0, True, 0.0, -0.0, None, "null", "%", "%s", "{}", "{0}", "a\nb", "\u2028"])
-
-
-def _alias(k):
-    """A key equal to k that json prints differently, where there is one."""
-    if type(k) is bool:
-        return int(k)
-    if type(k) is int and k in (0, 1):
-        return bool(k)
-    if type(k) is float and k.is_integer():
-        return -k if k == 0.0 else int(k)
-    return k
+_TRICKY_FLOATS = [1e-05, 9.5e-05, 2.5e-07, -1e-05, -9.5e-05, -2.5e-07, 10.00001, 100.000012,
+                  -0.0, 5e-324, 1 - 2**-53, 1e-4, math.nextafter(1e-4, 0.0), 0.1 + 0.2, 1e15,
+                  -1e15, math.nextafter(1e16, 0.0)]
+# what orjson would write apart from json, or not at all: the json path takes them
+_NOT_FOR_ORJSON = [float("nan"), float("inf"), float("-inf"), 1e16, -1e16, 2**64, -2**63 - 1,
+                   {1: 0.5}, collections.OrderedDict(a=0.5), np.float64(0.5)]
+_report_floats = st.floats(-1.0, 1.0) | st.sampled_from(_TRICKY_FLOATS)
+_players = st.integers(1, 64)
+# user text in the envelope: non-ASCII, and what the float rules would rewrite
+_ENVELOPES = [
+    ("drop --matrix caf\u00e9-e-1.json --draw 0.00001.json --eps 0.00001",
+     {"caf\u00e9-e-1.json": "ab" * 32, "0.00001.json": "cd" * 32}, []),
+    ("draws list 3", {}, ["draw from stdin was not canonical; using its canonical form",
+                          "\u00fc 1e-7 0.0000 \u2028"]),
+]
 
 
 @st.composite
-def _tables(draw):
-    """Two or more dicts built on one key list, maybe with one near miss."""
-    str_keys = st.text() | st.sampled_from(["1", "null", "%", "%s", "{}", "{0}", "a\nb", "\u2028"])
-    keys = draw(st.lists(draw(st.sampled_from([str_keys, _row_keys])), min_size=1, max_size=5))
-    rows = [dict(zip(keys, draw(st.lists(_cell_values, min_size=len(keys),
-                                         max_size=len(keys)))))
-            for _ in range(draw(st.integers(2, 6)))]
-    k = draw(st.integers(0, len(rows) - 1))
-    miss = draw(st.sampled_from(["none", "order", "nested", "empty", "alias"]))
-    if miss == "order":
-        rows[k] = dict(reversed(rows[k].items()))
-    elif miss == "nested":
-        rows[k][next(iter(rows[k]))] = draw(st.lists(_cell_values, max_size=2)
-                                            | st.dictionaries(_row_keys, _cell_values, max_size=2))
-    elif miss == "empty":
-        rows[k] = {}
-    elif miss == "alias":
-        rows[k] = {_alias(key): v for key, v in rows[k].items()}
-    table = draw(st.sampled_from([list, tuple]))(rows)
-    # at the top, or deeper inside the document
-    return draw(st.sampled_from([table, {"rows": table, "n": 2}, [[table], 0]]))
+def _results(draw):
+    """(a report-shaped result, the value put in it that orjson must not
+    write, or None): rows of i, j and floats, a witness with directions and
+    a matrix, or lists of integer rows."""
+    kind = draw(st.sampled_from(["pairs", "witness", "rows"]))
+    if kind == "pairs":
+        rows = [{"i": draw(_players), "j": draw(_players), "alpha": draw(_report_floats),
+                 "beta": draw(_report_floats), "p": draw(_report_floats)}
+                for _ in range(draw(st.integers(0, 8)))]
+        result = {"player": draw(_players), "wp": draw(_report_floats), "alphas": rows,
+                  "drop_coefficient": draw(_report_floats),
+                  "estimate": {"drop": draw(_report_floats), "clamped": draw(st.booleans())}}
+        spot = rows[-1] if rows else result
+    elif kind == "witness":
+        size = draw(st.sampled_from([2, 4]))
+        directions = [{"i": draw(_players), "j": draw(_players),
+                       "direction": draw(st.sampled_from(["hold", "increase", "decrease"]))}
+                      for _ in range(draw(st.integers(0, 6)))]
+        matrix = [[None if i == j else draw(_report_floats) for j in range(size)]
+                  for i in range(size)]
+        result = {"epsilon": draw(_report_floats), "directions": directions,
+                  "matrix": {"n": size.bit_length() - 1, "matrix": matrix}}
+        spot = result["matrix"]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(-2**63, 2**64 - 1), max_size=8), max_size=6))
+        result = {"n": draw(st.integers(1, 3)), "draws": draw(st.sampled_from([list, tuple]))(rows)}
+        spot = result
+    bad = draw(st.none() | st.sampled_from(_NOT_FOR_ORJSON))
+    if bad is not None:
+        spot["deep"] = [0.5, [bad]]
+    return result, bad
 
 
-@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
-@given(_tables())
-def test_dumps_writes_same_keyed_rows_as_indented_json(obj):
-    assert _dumps(obj) == json.dumps(obj, indent=2)
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(_results(), st.sampled_from(_ENVELOPES))
+def test_a_report_written_by_orjson_is_the_indented_json(case, envelope):
+    (result, bad), (command, inputs, warnings) = case, envelope
+    rewritten = []
+    with mock.patch.object(bkt.cli, "_ORJSON_MIN_VALUES", 0), \
+            mock.patch.object(bkt.cli, "_as_json_floats",
+                              lambda doc: rewritten.append(doc) or _as_json_floats(doc)):
+        text = bkt.cli._report(command, inputs, result, warnings)
+    assert text == json.dumps({"command": command, "inputs": inputs, "result": result,
+                               "warnings": warnings}, indent=2)
+    assert bool(rewritten) == (bad is None)
 
 
-def test_dumps_encodes_a_table_once_per_column(monkeypatch):
-    rows = [{"i": k, "x": k / 7, "way": "hold", "ok": k % 2 == 0, "none": None}
-            for k in range(500)]
-    calls = []
+def test_a_large_report_is_written_by_one_orjson_call(capsys, monkeypatch, tmp_path):
+    # 64 players: 2 016 pairs, and no json call sees the result
+    import orjson
+
+    m = random_matrix(np.random.default_rng(64), 64, interior=True)
+    src = write_json(tmp_path / "m.json", m.to_json_dict())
+    draw = write_json(tmp_path / "d.json", {"leaves": list(range(1, 65))})
+    argv = ["drop", "--matrix", src, "--draw", draw, "--player", "3", "--eps", "0.001",
+            "--witness"]
+    want = run(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(bkt.cli, "_ORJSON_MIN_VALUES", math.inf)
+        assert run(capsys, *argv) == want
+    calls, docs = [], []
+    dumps = orjson.dumps
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(1) or dumps(*a, **k))
     monkeypatch.setattr(bkt.cli, "json", SimpleNamespace(
-        dumps=lambda *a, **kw: calls.append(a) or json.dumps(*a, **kw)))
-    text = _dumps(rows)
-    # one call per column and one per key
-    assert len(calls) == 2 * len(rows[0])
-    assert text == json.dumps(rows, indent=2)
+        loads=json.loads, JSONDecodeError=json.JSONDecodeError,
+        dumps=lambda doc, **k: docs.append(doc) or json.dumps(doc, **k)))
+    assert run(capsys, *argv) == want
+    assert calls == [1]
+    assert docs and all("result" not in doc for doc in docs)
+    code, out = want
+    assert code == 0 and len(json.loads(out)["result"]["alphas"]) == 2016
 
 
 _TRICKY = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-05, 0.1 + 0.2, 1 - 2**-53,

@@ -3,7 +3,8 @@ everything else, and either way stdout and the exit code are json.loads's.
 
 Each document below is one way the two parsers part.  Every test runs the
 command twice, the second time with the orjson threshold out of reach, and
-compares what it printed.
+compares what it printed.  The last two tests run commands whose documents
+orjson reads or writes under an address-space cap.
 """
 
 import json
@@ -212,6 +213,33 @@ def test_perturb_under_an_address_space_cap_finishes_or_reports_memory_error(tmp
     full = run("none")
     assert full[0] == 0
     outcomes = {headroom: run(headroom) for headroom in [*range(4, 22), 48, 51, 54]}
+    for headroom, (code, out) in outcomes.items():
+        assert (code, out) == full or (
+            code == 2 and json.loads(out)["error"]["kind"] == "MemoryError"), (headroom, code)
+    assert full in outcomes.values()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs RLIMIT_AS and /proc/self/statm")
+def test_drop_report_under_an_address_space_cap_finishes_or_reports_memory_error(tmp_path):
+    # orjson writes this 2.8 MB report.  Without the room it reserves first,
+    # 14-16 MB above the size after import ended in SIGSEGV; from about
+    # 28 MB the report is written.
+    m = random_matrix(np.random.default_rng(128), 128, interior=True)
+    matrix, draw = tmp_path / "m.json", tmp_path / "d.json"
+    matrix.write_text(json.dumps(m.to_json_dict()))
+    draw.write_text(json.dumps({"leaves": list(range(1, 129))}))
+    argv = ["drop", "--matrix", str(matrix), "--draw", str(draw), "--player", "1",
+            "--eps", "0.001", "--witness"]
+
+    def run(headroom):
+        out = subprocess.run([sys.executable, "-c", _CAPPED, str(headroom), *argv],
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True)
+        return out.returncode, out.stdout
+
+    full = run("none")
+    assert full[0] == 0
+    outcomes = {headroom: run(headroom) for headroom in range(12, 32, 2)}
     for headroom, (code, out) in outcomes.items():
         assert (code, out) == full or (
             code == 2 and json.loads(out)["error"]["kind"] == "MemoryError"), (headroom, code)

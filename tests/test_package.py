@@ -119,19 +119,23 @@ SLOW = ["bkt.draws", "bkt.winprob", "bkt.robustness", "bkt.solvers", "hashlib"]
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Paths of a 4-player 0/1 matrix file and a draw file, of a 512-player
-    matrix file of at least 1 MiB and its draw file, and of 64- and
-    128-player interior matrix files of less than 1 MiB."""
+    matrix file of at least 1 MiB and its draw file, and of 8-, 64- and
+    128-player interior matrix files of less than 1 MiB, with draw files
+    for 8 and 128 players."""
     folder = tmp_path_factory.mktemp("inputs")
     (folder / "m.json").write_text(json.dumps(bkt.gen_hard(2).to_json_dict()))
-    for name, size in (("s", 64), ("i", 128)):
+    for name, size in (("e", 8), ("s", 64), ("i", 128)):
         (folder / f"{name}.json").write_text(json.dumps(
             random_matrix(np.random.default_rng(size), size, interior=True).to_json_dict()))
     assert (folder / "i.json").stat().st_size < 1 << 20
     (folder / "d.json").write_text(json.dumps({"leaves": [1, 2, 3, 4]}))
+    for name, size in (("ed", 8), ("id", 128)):
+        (folder / f"{name}.json").write_text(json.dumps({"leaves": list(range(1, size + 1))}))
     (folder / "large.json").write_text(json.dumps(bkt.gen_hard(9).to_json_dict()))
     assert (folder / "large.json").stat().st_size >= 1 << 20
     (folder / "ld.json").write_text(json.dumps({"leaves": list(range(1, 513))}))
-    return {name: str(folder / f"{name}.json") for name in ("m", "d", "large", "ld", "s", "i")}
+    return {name: str(folder / f"{name}.json")
+            for name in ("m", "d", "large", "ld", "e", "ed", "s", "i", "id")}
 
 
 @pytest.mark.parametrize("argv, code, absent", [
@@ -156,13 +160,20 @@ def inputs(tmp_path_factory):
     # orjson reads an input of 1 MiB or more
     (["winprob", "--matrix", "L", "--draw", "LD"], 0,
      ["bkt.robustness", "bkt.solvers", "bkt.generators"]),
+    # orjson writes a report of many values: a drop report at 128 players,
+    # not at 8
+    (["drop", "--matrix", "E", "--draw", "ED", "--player", "1", "--eps", "0.01", "--witness"],
+     0, ["bkt.solvers", "bkt.generators"]),
+    (["drop", "--matrix", "I", "--draw", "ID", "--player", "1", "--eps", "0.01", "--witness"],
+     0, ["bkt.solvers", "bkt.generators"]),
 ], ids=["gen-hard", "gen-threetier", "gen-hard-128", "perturb", "perturb-interior64",
         "perturb-interior128", "solve-tfp", "solve-ptfp", "solve-rtfp", "solve-rptfp", "winprob",
-        "draws-count", "winprob-large"])
+        "draws-count", "winprob-large", "drop-witness-8", "drop-witness-128"])
 def test_each_command_loads_only_what_it_runs(inputs, argv, code, absent):
     orjson = "L" in argv or "I" in argv
     argv = [{"M": inputs["m"], "D": inputs["d"], "L": inputs["large"], "LD": inputs["ld"],
-             "S": inputs["s"], "I": inputs["i"]}.get(a, a) for a in argv]
+             "E": inputs["e"], "ED": inputs["ed"], "S": inputs["s"], "I": inputs["i"],
+             "ID": inputs["id"]}.get(a, a) for a in argv]
     got, numpy_at_import, loaded = _run(
         "import contextlib, io, json, sys\n"
         "import bkt.cli\n"

@@ -41,6 +41,7 @@ from bkt import (
 )
 from bkt.winprob import _drop_coefficients, _slopes
 from helpers import (
+    corner_descent,
     random_deterministic,
     random_matrix,
     random_mixed,
@@ -449,6 +450,43 @@ def test_exact_oracle_never_exceeds_first_order_estimate():
         exact, wit = exact_worst_drop_oracle(m, (1, 2, 3, 4), 1, eps)
         assert exact <= rep.drop_coefficient * eps + 1e-9
         assert np.abs(wit.probs - m.probs).max() <= eps + 1e-12
+
+
+_FLOOR_KINDS = {
+    "interior": lambda rng, size: random_matrix(rng, size, interior=True),
+    "0/1": random_deterministic,
+    "mixed": random_mixed,
+}
+
+
+@pytest.mark.parametrize("size, random_starts, max_steps", [
+    (8, 4, 10**9), (16, 2, 10**9), (32, 1, 20), (64, 0, 2),
+])
+@pytest.mark.parametrize("kind", list(_FLOOR_KINDS))
+def test_first_order_floor_holds_against_corner_descent(size, random_starts, max_steps, kind):
+    # beyond the 4 players of the exact oracle: no corner the descent finds
+    # may lie below wp - S*eps, the witness may not drop wp further than
+    # that corner, and |drop - S*eps| shrinks quadratically (criterion 4)
+    rng = np.random.default_rng(1100 + size)
+    m = _FLOOR_KINDS[kind](rng, size)
+    d = canonicalize(tuple(int(x) + 1 for x in rng.permutation(size)))
+    wps = win_probabilities(m, d)
+    player = int(np.argmax(wps)) + 1
+    rep = sensitivity(m, d, player)
+    c = rep.columns
+    # the witness's own corner: raised where the slope is negative, and held
+    # at 1 where it is 0
+    witness_corner = (c.alpha < 0.0) | ((c.alpha == 0.0) & (c.p == 1.0))
+    errs = {}
+    for eps in (m.xi, 1e-2, 1e-3):
+        starts = [witness_corner] + [rng.random(len(c.p)) < 0.5 for _ in range(random_starts)]
+        corner_wp, _ = corner_descent(m, d.leaves, player, eps, starts, max_steps)
+        assert drop_estimate(rep, eps).guaranteed <= corner_wp + 1e-12, (eps, corner_wp)
+        w = worst_perturbation_witness(rep, m, eps)
+        assert float(win_probabilities(w.matrix, d)[player - 1]) >= corner_wp - 1e-12, eps
+        errs[eps] = abs(rep.wp - corner_wp - rep.drop_coefficient * eps)
+    if errs[1e-2] > 1e-12:
+        assert errs[1e-3] / errs[1e-2] <= 0.05, errs
 
 
 def test_exact_oracle_dominates_witness_drop():

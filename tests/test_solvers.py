@@ -29,7 +29,7 @@ from bkt import (
     win_probabilities,
     winner,
 )
-from bkt import winprob
+from bkt import solvers, winprob
 from bkt.draws import _canon_rows
 from bkt.solvers import _row_keys, _scores, _swaps, _verify_witness
 from bkt.winprob import _player_reach, _slopes
@@ -250,6 +250,40 @@ def test_heuristic_never_claims_no():
     assert res.verdict == "not-found"
     assert res.witness is None
     assert not res.exact
+
+
+def test_heuristic_stops_at_its_draw_budget(monkeypatch):
+    # gen_hard(4)'s player 2 wins no draw, so only the budget ends the
+    # search; it is checked between neighbourhoods of 155 draws each
+    req = SolveRequest("TFP", gen_hard(4), 2, mode="heuristic")
+    full = solve(req, restarts=10, seed=0)
+    assert not full.budget_spent and full.draws_examined > 400
+    monkeypatch.setattr(solvers, "DRAW_BUDGET", 400)
+    res = solve(req, restarts=10, seed=0)
+    assert res.verdict == "not-found" and res.budget_spent
+    assert 400 <= res.draws_examined < 400 + 155
+    assert res.to_json_dict().keys() == full.to_json_dict().keys()
+
+
+@pytest.mark.parametrize("budget, memory, match", [
+    (154, None, "more than its budget of 154"),
+    (155, 1 << 14, "the 155 swaps of 16 players"),
+])
+def test_heuristic_refuses_a_neighbourhood_past_its_budget_or_memory(
+        monkeypatch, budget, memory, match):
+    # 16 players: 155 rows of 16 entries, 19 840 bytes
+    monkeypatch.setattr(solvers, "DRAW_BUDGET", budget)
+    monkeypatch.setattr(solvers, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(solvers, "_swaps", None)  # refused before it is called
+    with pytest.raises(ScaleError, match=match):
+        solve(SolveRequest("TFP", gen_hard(4), 1, mode="heuristic"))
+
+
+def test_neighbourhood_size_counts_the_swaps():
+    assert [solvers._neighbourhood_size(1 << n) for n in range(1, 6)] == \
+        [len(_swaps(1 << n)) for n in range(1, 6)]
+    assert [solvers._neighbourhood_size(1 << n) for n in range(7, 11)] == \
+        [10_795, 43_435, 174_251, 698_027]
 
 
 def test_heuristic_witness_meets_conditions():
