@@ -34,7 +34,7 @@ finally:
     if _cap_blas:
         del os.environ[_BLAS_THREADS]
 
-from .errors import BktError, ParameterError
+from .errors import BktError, ParameterError, _check_memory, _physical_memory
 from .matrix import ComparisonMatrix, _check_player, matrix_from_json_dict
 
 
@@ -427,9 +427,7 @@ def _cmd_oracle(args) -> int:
             raise ParameterError("oracle drop needs --eps")
         from .robustness import exact_worst_drop_oracle
 
-        drop, worst = exact_worst_drop_oracle(
-            m, d, args.player, args.eps, allow_large=args.allow_large
-        )
+        drop, worst = exact_worst_drop_oracle(m, d, args.player, args.eps)
         result = {
             "player": args.player,
             "epsilon": args.eps,
@@ -442,18 +440,22 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_draws(args) -> int:
-    if args.action == "count":
-        from .draws import count_draws
+    from .draws import count_draws, enumerate_draws
 
+    if args.action == "count":
         c = count_draws(args.n)
         _emit_report(args, {}, {"n": args.n, "count": c}, [], [str(c)])
         return 0
-    if args.limit is not None and args.limit < 0:
-        raise ParameterError(f"--limit must be nonnegative, got {args.limit}")
-    from .draws import enumerate_draws
-
-    gen = enumerate_draws(args.n, allow_large=args.limit is not None or args.allow_large)
-    if args.limit is not None:  # a limit past every draw lists them all
+    if args.limit is not None:
+        if args.limit < 0:
+            raise ParameterError(f"--limit must be nonnegative, got {args.limit}")
+        # a limit past every draw lists them all; each row is a list of N
+        # labels, N + 1 <= 2**(n + 1) values, counted as the writer counts them
+        rows = min(args.limit, count_draws(args.n)) if args.n <= 5 else args.limit
+        _check_memory((rows * _ORJSON_VALUE_BYTES - 1).bit_length() + args.n + 1,
+                      f"listing {rows} draws of 2**{args.n} players", _physical_memory())
+    gen = enumerate_draws(args.n, allow_large=args.limit is not None)
+    if args.limit is not None:
         gen = itertools.islice(gen, min(args.limit, sys.maxsize))
     listed = [list(d.leaves) for d in gen]
     result = {"n": args.n, "draws": listed}
@@ -544,7 +546,6 @@ def _build_parser() -> argparse.ArgumentParser:
         op.add_argument("--player", type=int, required=True)
         if qty == "drop":
             op.add_argument("--eps", type=float)
-            op.add_argument("--allow-large", action="store_true")
         op.set_defaults(func=_cmd_oracle)
 
     dw = sub.add_parser("draws", help="canonical draw classes")
@@ -555,7 +556,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dl = ds.add_parser("list", parents=[common])
     dl.add_argument("n", type=int)
     dl.add_argument("--limit", type=int)
-    dl.add_argument("--allow-large", action="store_true")
     dl.set_defaults(func=_cmd_draws)
 
     return p

@@ -32,12 +32,11 @@ from .errors import (
     _check_number,
 )
 from .matrix import ComparisonMatrix, _check_player, validate_matrix
-from .winprob import _checked, _contributions, _leaf_stacks, _reach, _slopes, _winner_levels
+from .winprob import _checked, _contributions, _outcome_weights, _slopes, _winner_levels
 
-# Corner-scan oracle: candidate sets of size <= 3 per unordered pair keep the
-# exhaustive product tractable only for very small instances.
+# Corner-scan oracle: at most two candidate entries per pair, so 2**pairs
+# corners; 13 pairs admit 4 players (64 corners) and refuse 8 (28 pairs).
 CORNER_ORACLE_PAIR_LIMIT = 13
-_CORNER_CHUNK = 4096
 
 DECREASE, INCREASE, HOLD = "decrease", "increase", "hold"
 
@@ -331,41 +330,28 @@ def _corner_candidates(p: float, eps: float) -> list[float]:
     return sorted(vals)
 
 
-def exact_worst_drop_oracle(
-    m: ComparisonMatrix, d, player: int, eps: float, *, allow_large: bool = False
-) -> tuple[float, ComparisonMatrix]:
+def exact_worst_drop_oracle(m: ComparisonMatrix, d, player: int,
+                            eps: float) -> tuple[float, ComparisonMatrix]:
     """Exact worst-case drop by exhaustive corner evaluation.
 
     Multilinearity puts the minimum of wp over the eps-box at a corner, so
     scanning the per-pair interval endpoints (plus 0/1 when reachable) is
-    exact.  Returns (drop, minimizing matrix).
+    exact.  The matrix and every corner are scored as one stack by outcome
+    enumeration, independently of the reach kernel.  Returns (drop, the
+    first minimizing corner's matrix).
     """
     d, player = _checked(m, d), _check_player(m, player)
     _check_eps(eps)
     i, j = np.triu_indices(m.size, 1)
-    if len(i) > CORNER_ORACLE_PAIR_LIMIT and not allow_large:
-        raise ScaleError(
-            f"{len(i)} pairs exceed the corner-scan limit "
-            f"{CORNER_ORACLE_PAIR_LIMIT}; pass allow_large=True to force"
-        )
+    if len(i) > CORNER_ORACLE_PAIR_LIMIT:
+        raise ScaleError(f"{len(i)} pairs exceed the corner-scan limit {CORNER_ORACLE_PAIR_LIMIT}")
     candidates = [_corner_candidates(p, eps) for p in m.probs[i, j].tolist()]
-    ((perm, pq),) = _leaf_stacks(m, np.array([canonicalize(d).leaves]))
-    pos = np.argsort(perm[0])  # leaf of each player
-    a, b, leaf = pos[i], pos[j], pos[player - 1]
-    base_wp = float(_reach(pq)[-1][0, leaf])
-    best_wp = None
-    corners = itertools.product(*candidates)
-    while chunk := list(itertools.islice(corners, _CORNER_CHUNK)):
-        # each corner's entries written into its copy of the leaf-ordered matrix
-        vals = np.array(chunk)
-        stack = np.repeat(pq, len(vals), axis=0)
-        stack[:, a, b] = vals
-        stack[:, b, a] = 1.0 - vals
-        wps = _reach(stack)[-1][:, leaf]
-        k = int(np.argmin(wps))
-        if best_wp is None or wps[k] < best_wp:
-            best_wp, best = float(wps[k]), vals[k]
-    arr = m.probs.copy()
-    arr[i, j] = best
-    arr[j, i] = 1.0 - best
-    return base_wp - best_wp, validate_matrix(arr)
+    corners = np.array(list(itertools.product(*candidates)))
+    # the matrix itself, then a copy of it per corner with the corner's entries
+    stack = np.repeat(m.probs[None], len(corners) + 1, axis=0)
+    stack[1:, i, j] = corners
+    stack[1:, j, i] = 1.0 - corners
+    weight, won = _outcome_weights(stack, canonicalize(d).leaves)
+    wps = weight[:, won == player - 1].sum(axis=1)
+    k = 1 + int(np.argmin(wps[1:]))
+    return float(wps[0] - wps[k]), validate_matrix(stack[k])

@@ -12,7 +12,7 @@ its drop coefficient S, the quantity `robustness` reports and the robust
 solvers bound.  `_player_reach` scores one player across a batch of draws
 from the distinct opponent parts they meet, one `_reach` call per part
 size.  A separate oracle enumerates all 2**(N-1) joint match outcomes
-instead and exists only to cross-check the kernel.
+instead; it cross-checks the kernel and scores the corner-scan oracle.
 """
 
 from __future__ import annotations
@@ -283,23 +283,31 @@ def outcome_win_distribution(m: ComparisonMatrix, d) -> np.ndarray:
         raise ScaleError(
             f"outcome enumeration is limited to {OUTCOME_ENUMERATION_LIMIT} players"
         )
-    B = 1 << (N - 1)
+    weight, won = _outcome_weights(m.probs[None], d.leaves)
+    out = np.zeros(N)
+    np.add.at(out, won, weight[0])
+    return out
+
+
+def _outcome_weights(stack: np.ndarray, leaves) -> tuple[np.ndarray, np.ndarray]:
+    """(weight, won) of the 2**(N-1) joint match outcomes of the draw with
+    these leaves: weight[k, o] is the probability of outcome o under matrix
+    k of a (K, N, N) stack in player order, and won[o] the 0-based player
+    that o crowns.  Bit b of o says whether the first player lost match b."""
+    B = 1 << (len(leaves) - 1)
     sel = np.arange(B)
-    probs = m.probs
-    layer = [np.full(B, x - 1, dtype=np.intp) for x in d.leaves]
-    weight = np.ones(B)
+    layer = [np.full(B, x - 1, dtype=np.intp) for x in leaves]
+    weight = np.ones((len(stack), B))
     match_bit = 0
     while len(layer) > 1:
         nxt = []
         for x, y in zip(layer[::2], layer[1::2]):
             first_wins = ((sel >> match_bit) & 1) == 0
-            weight = weight * np.where(first_wins, probs[x, y], probs[y, x])
+            weight = weight * np.where(first_wins, stack[:, x, y], stack[:, y, x])
             nxt.append(np.where(first_wins, x, y))
             match_bit += 1
         layer = nxt
-    out = np.zeros(N)
-    np.add.at(out, layer[0], weight)
-    return out
+    return weight, layer[0]
 
 
 def wp_by_outcome_enumeration(m: ComparisonMatrix, d, player: int) -> float:

@@ -630,6 +630,25 @@ def test_oracle_drop_needs_eps(capsys, hard2, ident4):
     assert doc["error"]["kind"] == "ParameterError"
 
 
+def test_oracle_drop_ends_at_once_past_four_players(tmp_path):
+    # the corner scan takes no override: 2**120 corners at 16 players would
+    # never finish, so the flag is an unknown argument and the size a ScaleError
+    rng = np.random.default_rng(16)
+    matrix = tmp_path / "m16.json"
+    matrix.write_text("".join(_matrix_lines(random_matrix(rng, 16, interior=True))))
+    draw = write_json(tmp_path / "d16.json", {"leaves": list(range(1, 17))})
+    argv = [sys.executable, "-m", "bkt.cli", "oracle", "drop", "--matrix", str(matrix),
+            "--draw", draw, "--player", "1", "--eps", "0.01"]
+    out = subprocess.run([*argv, "--allow-large"], capture_output=True, text=True,
+                         env=src_env(), timeout=30)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert "unrecognized arguments: --allow-large" in out.stderr
+    out = subprocess.run(argv, capture_output=True, text=True, env=src_env(), timeout=30)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert json.loads(out.stdout)["error"] == {
+        "kind": "ScaleError", "message": "120 pairs exceed the corner-scan limit 13"}
+
+
 # ---------------------------------------------------------------------- draws
 
 
@@ -727,6 +746,42 @@ def test_draws_list_starts_promptly_at_thirty_two_players():
         [*range(1, 30), 31, 30, 32],
         [*range(1, 30), 32, 30, 31],
     ]
+
+
+def test_draws_list_refuses_a_listing_past_physical_memory_before_listing():
+    # 10**12 rows of 33 values; before the check, rows were built until the
+    # address space ran out, after tens of seconds
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():  # 1 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-m", "bkt.cli", "draws", "list", "5", "--limit", str(10**12)],
+        capture_output=True, text=True, env=src_env(), timeout=30,
+        preexec_fn=cap_address_space)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert json.loads(out.stdout)["error"]["kind"] == "ScaleError"
+
+
+def test_draws_list_counts_the_rows_it_will_list_against_memory(capsys, monkeypatch):
+    import bkt.draws
+
+    def unlisted(*args, **kwargs):
+        raise AssertionError("enumerate_draws ran")
+
+    monkeypatch.setattr(bkt.cli, "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(bkt.draws, "enumerate_draws", unlisted)
+    code, doc = run_json(capsys, "draws", "list", "4", "--limit", "100000000")
+    assert code == 2
+    assert doc["error"]["kind"] == "ScaleError"
+    assert doc["error"]["message"].startswith("listing 100000000 draws of 2**4 players")
+    # a limit past every draw counts the draws there are: 315 at 8 players
+    monkeypatch.undo()
+    monkeypatch.setattr(bkt.cli, "_physical_memory", lambda: 1 << 20)
+    code, doc = run_json(capsys, "draws", "list", "3", "--limit", str(10**30))
+    assert code == 0
+    assert len(doc["result"]["draws"]) == 315
 
 
 def test_draws_list_pretty(capsys):
@@ -958,3 +1013,26 @@ def test_declared_entry_point_runs_without_install():
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["result"]["count"] == 315
+
+
+# ------------------------------------------------------------- documentation
+
+
+def readme_command_lines():
+    """The lines of the README's fenced block under "## Command line"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_lines_run(tmp_path):
+    # run in order, so the first lines write the files the later ones read
+    lines = readme_command_lines()
+    assert any("oracle drop" in line for line in lines)
+    prelude = f'set -o pipefail; bkt() {{ "{sys.executable}" -m bkt.cli "$@"; }}; '
+    for line in lines:
+        out = subprocess.run(["bash", "-c", prelude + line], capture_output=True, text=True,
+                             cwd=tmp_path, env=src_env(), timeout=60)
+        assert out.returncode in (0, 1), (line, out.stdout, out.stderr)
+        assert "Traceback" not in out.stdout + out.stderr, line

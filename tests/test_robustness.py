@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from bkt import (
 )
 from bkt.winprob import _drop_coefficients, _slopes
 from helpers import (
+    _stack_win_probabilities,
     corner_descent,
     random_deterministic,
     random_matrix,
@@ -511,6 +514,55 @@ def test_exact_oracle_rejects_nonpositive_epsilon():
     for eps in (0.0, float("nan")):
         with pytest.raises(NonpositiveEpsilon):
             exact_worst_drop_oracle(all_even(4), (1, 2, 3, 4), 1, eps)
+
+
+@pytest.fixture
+def no_reach_kernel(monkeypatch):
+    """The reach kernel and its leaf-order gather, made to raise in every
+    loaded bkt module that binds them."""
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the reach kernel was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "bkt" or name.startswith("bkt."):
+            for attr in ("_reach", "_leaf_stacks"):
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, unavailable)
+
+
+def test_exact_oracle_is_independent_of_the_reach_kernel(no_reach_kernel):
+    drop, wit = exact_worst_drop_oracle(gen_hard(2), (1, 2, 3, 4), 1, 0.1)
+    assert drop == pytest.approx(0.271)
+    assert wit.probability(1, 4) == 0.0
+    with pytest.raises(AssertionError, match="reach kernel"):
+        win_probabilities(gen_hard(2), (1, 2, 3, 4))
+
+
+def test_exact_oracle_is_the_lowest_corner_by_the_textbook_recursion(no_reach_kernel):
+    # every corner of the eps-box, built here from each pair's clipped
+    # interval ends and scored by the textbook recursion, on interior, 0/1
+    # and mixed matrices and at eps up to 1, where entries reach 0 and 1
+    rng = np.random.default_rng(1240)
+    kinds = [lambda: random_matrix(rng, 4, interior=True),
+             lambda: random_deterministic(rng, 4), lambda: random_mixed(rng, 4)]
+    i, j = np.triu_indices(4, 1)
+    for case in range(51):
+        m = kinds[case % 3]()
+        d = canonicalize(tuple(int(x) + 1 for x in rng.permutation(4)))
+        player = int(rng.integers(1, 5))
+        eps = float(rng.choice([m.xi, 0.01, 0.2, 1.0]))
+        p = m.probs[i, j]
+        corners = np.array(list(itertools.product(
+            *zip(np.maximum(p - eps, 0.0), np.minimum(p + eps, 1.0)))))
+        stack = np.repeat(m.probs[None], len(corners) + 1, axis=0)
+        stack[1:, i, j] = corners
+        stack[1:, j, i] = 1.0 - corners
+        wps = _stack_win_probabilities(stack, d.leaves)[:, player - 1]
+        drop, worst = exact_worst_drop_oracle(m, d, player, eps)
+        assert drop == pytest.approx(wps[0] - wps[1:].min(), abs=1e-12), case
+        worst_wp = _stack_win_probabilities(worst.probs[None], d.leaves)[0, player - 1]
+        assert worst_wp == pytest.approx(wps[1:].min(), abs=1e-12), case
+        assert np.abs(worst.probs - m.probs).max() <= eps + 1e-12, case
 
 
 # ------------------------------------------------------------ crucial matches
