@@ -4,7 +4,7 @@ Generators and perturb print a bare matrix JSON document so commands can be
 piped into each other; every other command prints a report envelope
 {"command", "inputs", "result", "warnings"} where inputs maps each file (or
 "stdin") to its sha256.  Exit status: 0 success / yes / found, 1 no /
-not-found, 2 error (a JSON object {"error": {"kind", "message"}}).
+not-found, 2 error, a usage error too ({"error": {"kind", "message"}}).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ finally:
     if _cap_blas:
         del os.environ[_BLAS_THREADS]
 
-from .errors import BktError, ParameterError, _check_memory, _physical_memory
+from .errors import BktError, ParameterError, ScaleError, _check_memory, _physical_memory
 from .matrix import ComparisonMatrix, _check_player, matrix_from_json_dict
 
 
@@ -94,11 +94,9 @@ def _matrix_document(raw: bytes):
     return None
 
 
-def _load(path: str, taken: set, inputs: dict) -> tuple[object, str]:
-    """The JSON document at path ("-" for stdin) and its name, once its
-    sha256 is recorded in inputs under that name."""
-    import hashlib
-
+def _load(path: str, taken: set, inputs: dict | None) -> tuple[object, str]:
+    """The JSON document at path ("-" for stdin) and its name.  Its sha256 is
+    recorded in inputs under that name, unless inputs is None."""
     if path == "-":
         if "stdin" in taken:
             raise ParameterError("only one input may come from stdin")
@@ -108,7 +106,10 @@ def _load(path: str, taken: set, inputs: dict) -> tuple[object, str]:
     else:
         raw = Path(path).read_bytes()
         name = path
-    inputs[name] = hashlib.sha256(raw).hexdigest()
+    if inputs is not None:
+        import hashlib
+
+        inputs[name] = hashlib.sha256(raw).hexdigest()
     if len(raw) >= _ORJSON_MIN_BYTES:
         obj = _matrix_document(raw)
         if obj is not None:
@@ -126,15 +127,23 @@ def _load(path: str, taken: set, inputs: dict) -> tuple[object, str]:
     return obj, name
 
 
-def _load_draw(path: str, taken: set, inputs: dict, warnings: list):
+def _inputs(args):
+    """(matrix, draw, inputs, warnings) of a report command: the --matrix
+    document, the canonical form of the --draw one if the command has
+    --draw (else None), each input's sha256 by name, and a warning for a
+    draw that was not canonical."""
+    taken, inputs, warnings = set(), {}, []
+    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
+    if not hasattr(args, "draw"):
+        return m, None, inputs, warnings
     from .draws import canonicalize, draw_from_json_dict
 
-    obj, name = _load(path, taken, inputs)
+    obj, name = _load(args.draw, taken, inputs)
     d = draw_from_json_dict(obj)
     if not d.is_canonical:
         warnings.append(f"draw from {name} was not canonical; using its canonical form")
         d = canonicalize(d)
-    return d
+    return m, d, inputs, warnings
 
 
 _CHUNK_CELLS = 1 << 16  # matrix cells joined into one write
@@ -309,8 +318,7 @@ def _cmd_gen(args) -> int:
 def _cmd_perturb(args) -> int:
     from .generators import uniform_perturbation
 
-    taken, inputs = set(), {}
-    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
+    m = matrix_from_json_dict(_load(args.matrix, set(), None)[0])
     _print_matrix(uniform_perturbation(m, args.eps), args.pretty)
     return 0
 
@@ -318,9 +326,7 @@ def _cmd_perturb(args) -> int:
 def _cmd_winprob(args) -> int:
     from .winprob import win_probabilities
 
-    taken, inputs, warnings = set(), {}, []
-    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
-    d = _load_draw(args.draw, taken, inputs, warnings)
+    m, d, inputs, warnings = _inputs(args)
     if args.player is not None:
         _check_player(m, args.player)
     wps = win_probabilities(m, d)
@@ -341,9 +347,7 @@ def _cmd_drop(args) -> int:
 
     if args.witness and args.eps is None:
         raise ParameterError("--witness needs --eps")
-    taken, inputs, warnings = set(), {}, []
-    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
-    d = _load_draw(args.draw, taken, inputs, warnings)
+    m, d, inputs, warnings = _inputs(args)
     rep = sensitivity(m, d, args.player)
     result = rep.to_json_dict()
     lines = [
@@ -371,9 +375,7 @@ def _cmd_drop(args) -> int:
 def _cmd_crucial(args) -> int:
     from .robustness import crucial_matches, crucial_matches_oracle
 
-    taken, inputs, warnings = set(), {}, []
-    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
-    d = _load_draw(args.draw, taken, inputs, warnings)
+    m, d, inputs, warnings = _inputs(args)
     fn = crucial_matches_oracle if args.oracle else crucial_matches
     rep = fn(m, d, args.player)
     lines = [f"player {rep.player}: {rep.count} crucial matches"]
@@ -388,8 +390,7 @@ def _cmd_crucial(args) -> int:
 def _cmd_solve(args) -> int:
     from .solvers import DRAW_BUDGET, SolveRequest, solve
 
-    taken, inputs, warnings = set(), {}, []
-    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
+    m, _, inputs, warnings = _inputs(args)
     req = SolveRequest(
         problem=args.problem, matrix=m, player=args.player,
         q=getattr(args, "q", None), c=getattr(args, "c", None),
@@ -413,9 +414,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    taken, inputs, warnings = set(), {}, []
-    m = matrix_from_json_dict(_load(args.matrix, taken, inputs)[0])
-    d = _load_draw(args.draw, taken, inputs, warnings)
+    m, d, inputs, warnings = _inputs(args)
     if args.quantity == "wp":
         from .winprob import wp_by_outcome_enumeration
 
@@ -423,8 +422,6 @@ def _cmd_oracle(args) -> int:
         result = {"player": args.player, "wp": wp}
         lines = [f"player {args.player}: wp {wp:.6f} (outcome enumeration)"]
     else:
-        if args.eps is None:
-            raise ParameterError("oracle drop needs --eps")
         from .robustness import exact_worst_drop_oracle
 
         drop, worst = exact_worst_drop_oracle(m, d, args.player, args.eps)
@@ -454,7 +451,10 @@ def _cmd_draws(args) -> int:
         rows = min(args.limit, count_draws(args.n)) if args.n <= 5 else args.limit
         _check_memory((rows * _ORJSON_VALUE_BYTES - 1).bit_length() + args.n + 1,
                       f"listing {rows} draws of 2**{args.n} players", _physical_memory())
-    gen = enumerate_draws(args.n, allow_large=args.limit is not None)
+    try:
+        gen = enumerate_draws(args.n, allow_large=args.limit is not None)
+    except ScaleError as e:  # name the flag the command line has
+        raise ScaleError(str(e).replace("allow_large=True", "--limit")) from None
     if args.limit is not None:
         gen = itertools.islice(gen, min(args.limit, sys.maxsize))
     listed = [list(d.leaves) for d in gen]
@@ -464,13 +464,27 @@ def _cmd_draws(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParameterError, once
+    argparse's usage and error lines are on stderr, in place of its exit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         help="human-readable output instead of JSON")
+    # the inputs of a command that scores one player in one draw
+    scored = _Parser(add_help=False, parents=[common])
+    scored.add_argument("--matrix", required=True)
+    scored.add_argument("--draw", required=True)
+    scored.add_argument("--player", type=int, required=True)
 
-    p = argparse.ArgumentParser(prog="bkt",
-                                description="balanced knockout tournament toolkit")
+    p = _Parser(prog="bkt", description="balanced knockout tournament toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a comparison matrix")
@@ -499,21 +513,15 @@ def _build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--player", type=int)
     wp.set_defaults(func=_cmd_winprob)
 
-    dr = sub.add_parser("drop", parents=[common],
+    dr = sub.add_parser("drop", parents=[scored],
                         help="sensitivity report and first-order adversarial damage")
-    dr.add_argument("--matrix", required=True)
-    dr.add_argument("--draw", required=True)
-    dr.add_argument("--player", type=int, required=True)
     dr.add_argument("--eps", type=float)
     dr.add_argument("--witness", action="store_true",
                     help="include a realizing perturbed matrix (needs eps <= xi)")
     dr.set_defaults(func=_cmd_drop)
 
-    cr = sub.add_parser("crucial", parents=[common],
+    cr = sub.add_parser("crucial", parents=[scored],
                         help="matches whose lone flip dethrones the winner")
-    cr.add_argument("--matrix", required=True)
-    cr.add_argument("--draw", required=True)
-    cr.add_argument("--player", type=int, required=True)
     cr.add_argument("--oracle", action="store_true",
                     help="use the quadratic replay oracle instead")
     cr.set_defaults(func=_cmd_crucial)
@@ -540,12 +548,9 @@ def _build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="independent brute-force cross-checks")
     os_ = orc.add_subparsers(dest="quantity", required=True)
     for qty in ("wp", "drop"):
-        op = os_.add_parser(qty, parents=[common])
-        op.add_argument("--matrix", required=True)
-        op.add_argument("--draw", required=True)
-        op.add_argument("--player", type=int, required=True)
+        op = os_.add_parser(qty, parents=[scored])
         if qty == "drop":
-            op.add_argument("--eps", type=float)
+            op.add_argument("--eps", type=float, required=True)
         op.set_defaults(func=_cmd_oracle)
 
     dw = sub.add_parser("draws", help="canonical draw classes")
@@ -568,9 +573,9 @@ def _print_error(kind: str, message: str) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
-    args.invocation = argv
     try:
+        args = _build_parser().parse_args(argv)
+        args.invocation = argv
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at exit
         return code

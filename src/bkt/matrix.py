@@ -95,11 +95,13 @@ def _coerce_cells(raw) -> np.ndarray:
 
 
 def _coerce(raw) -> np.ndarray:
-    if isinstance(raw, np.ndarray) and raw.dtype != object:
+    if isinstance(raw, np.ndarray) and raw.dtype.kind in "biuf":  # bool, int, uint, float
         arr = raw.astype(float, copy=True)
     else:
-        # One call converts a well-formed table (None becomes NaN, as in
-        # _to_float); anything else takes the per-cell path for its error.
+        # Other arrays are read as their lists.  One call converts a
+        # well-formed table (None becomes NaN, as in _to_float); anything
+        # else takes the per-cell path for its error.
+        raw = raw.tolist() if isinstance(raw, np.ndarray) else raw
         try:
             arr = np.array(raw, dtype=float)
         except (TypeError, ValueError, OverflowError):

@@ -7,9 +7,9 @@ lower the winning probability by S*eps + O(eps^2).  For deterministic
 instances the same quantity counts the "crucial" matches whose lone flip
 dethrones the winner.
 
-The slopes and S come from `winprob._slopes` and `winprob._contributions`;
-this module builds the reports on them, the eps-adversary's estimate and
-witness, crucial matches, and the brute-force oracles that check them.
+The slopes and S come from `winprob._slopes`; this module builds the
+reports on them, the eps-adversary's estimate and witness, crucial matches,
+and the brute-force oracles that check them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     _check_number,
 )
 from .matrix import ComparisonMatrix, _check_player, validate_matrix
-from .winprob import _checked, _contributions, _outcome_weights, _slopes, _winner_levels
+from .winprob import _checked, _outcome_weights, _slopes, _winner_levels
 
 # Corner-scan oracle: at most two candidate entries per pair, so 2**pairs
 # corners; 13 pairs admit 4 players (64 corners) and refuse 8 (28 pairs).
@@ -111,16 +111,15 @@ def sensitivity(m: ComparisonMatrix, d, player: int) -> SensitivityReport:
     lexicographic order.
     """
     d, player = _checked(m, d), _check_player(m, player)
-    ((wp, alphas),) = _slopes(m, np.array([canonicalize(d).leaves]), player)
-    base, alphas = wp[0], alphas[0]
+    ((wp, alphas, contributions, s),) = _slopes(m, np.array([canonicalize(d).leaves]), player)
+    base, alphas, contributions = wp[0], alphas[0], contributions[0]
     rows, cols = np.triu_indices(m.size, 1)
     ps = m.probs[rows, cols]
-    contributions, s = _contributions(alphas, ps)
     return SensitivityReport(
         player=player,
         wp=float(base),
         columns=PairSensitivity(rows + 1, cols + 1, alphas, base - alphas * ps, ps, contributions),
-        drop_coefficient=float(s),
+        drop_coefficient=float(s[0]),
         validity_bound=m.xi,
     )
 

@@ -24,7 +24,7 @@ from .draws import Draw, _canon_rows, _canonical_sequences
 from .errors import (NoWinningDraw, NotDeterministic, ParameterError, ScaleError, _check_integer,
                      _check_memory, _check_real, _physical_memory)
 from .matrix import ComparisonMatrix, _check_player
-from .winprob import _drop_coefficients, _player_reach, _row_keys, _slopes, win_probabilities
+from .winprob import _player_reach, _row_keys, _slopes, win_probabilities
 
 EXACT_LIMIT = 8  # players; the canonical-draw count explodes past this
 # Draws the heuristic search may examine.  It stops at the first
@@ -116,8 +116,8 @@ def _verify_witness(req: SolveRequest, d: Draw, wp: float, s: float | None) -> N
         raise RuntimeError("witness fails re-verification of its winning probability")
     if req.drop_bound is not None:
         # a witness is a canonical row, as sensitivity would make it
-        ((_, alphas),) = _slopes(req.matrix, np.array([d.leaves]), req.player)
-        if _drop_coefficients(req.matrix, alphas)[0] > req.drop_bound + _WP_ATOL:
+        ((*_, s),) = _slopes(req.matrix, np.array([d.leaves]), req.player)
+        if s[0] > req.drop_bound + _WP_ATOL:
             raise RuntimeError("witness fails re-verification of its drop coefficient")
 
 
@@ -153,8 +153,7 @@ def _scores(req: SolveRequest, rows: np.ndarray) -> tuple[np.ndarray, tuple | No
         return scores, None
     scores[1] = -np.inf  # no drop coefficient
     lo = 0
-    for _, alphas in _slopes(m, rows[meet], req.player):
-        s = _drop_coefficients(m, alphas)
+    for *_, s in _slopes(m, rows[meet], req.player):
         at = meet[lo:lo + len(s)]
         lo += len(s)
         scores[1, at] = -s
@@ -333,7 +332,7 @@ def enumerate_delta_optimal(
     wps = _player_reach(m, rows, player)[:, -1]
     near = wps >= wps.max() - delta - _WP_ATOL
     rows, wps = rows[near], wps[near]
-    drops = np.concatenate([_drop_coefficients(m, a) for _, a in _slopes(m, rows, player)])
+    drops = np.concatenate([s for *_, s in _slopes(m, rows, player)])
     entries = (DeltaOptimalEntry(Draw(tuple(leaves)), wp, s)
                for leaves, wp, s in zip(rows.tolist(), wps.tolist(), drops.tolist()))
     return sorted(entries, key=lambda e: (e.drop_coefficient, -e.wp, e.draw.leaves))

@@ -7,9 +7,9 @@ rounds), merging all blocks of a level, for all B matrices, at once.
 `_reach_adjoint` is its reverse-mode pass: one backward sweep from a root
 leaf yields the slope of that leaf's winning probability in every pair's
 entry, in O(N^2) for all pairs.  `_slopes` pairs the two passes over a
-batch of draws, and `_drop_coefficients` sums a draw's clipped slopes into
-its drop coefficient S, the quantity `robustness` reports and the robust
-solvers bound.  `_player_reach` scores one player across a batch of draws
+batch of draws and sums each draw's clipped slopes into its drop
+coefficient S, the quantity `robustness` reports and the robust solvers
+bound.  `_player_reach` scores one player across a batch of draws
 from the distinct opponent parts they meet, one `_reach` call per part
 size.  A separate oracle enumerates all 2**(N-1) joint match outcomes
 instead; it cross-checks the kernel and scores the corner-scan oracle.
@@ -164,21 +164,11 @@ def _reach_adjoint(pq: np.ndarray, levels: list[np.ndarray], leaf: np.ndarray) -
     return upper - upper.transpose(0, 2, 1)
 
 
-def _contributions(alphas: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The clipped slopes, and their sums S over the last axis."""
-    # at the boundary only the feasible direction can hurt; where() keeps the
-    # sign of a zero, as Python's max(x, 0.0) does and maximum() does not
-    hurt = np.where(ps == 1.0, alphas, -alphas)
-    c = np.where((0.0 < ps) & (ps < 1.0), np.abs(alphas), np.where(hurt < 0.0, 0.0, hurt))
-    # left to right as Python's sum adds, not pairwise as np.sum; + 0.0 makes
-    # a sum of -0.0 terms 0.0, as sum's start value 0 does
-    return c, np.cumsum(c, axis=-1)[..., -1] + 0.0
-
-
 def _slopes(m: ComparisonMatrix, rows: np.ndarray, player: int):
-    """(wp, alphas) per _leaf_stacks chunk of a (B, N) array of leaf rows: the
-    player's (b,) winning probability and (b, C(N, 2)) slopes, pairs i < j in
-    lexicographic order.
+    """(wp, alphas, contributions, s) per _leaf_stacks chunk of a (B, N) array
+    of leaf rows: the player's (b,) winning probability, (b, C(N, 2)) slopes
+    and clipped slopes, pairs i < j in lexicographic order, and the (b,)
+    drop coefficients S, each row's sum of clipped slopes.
 
     One adjoint pass on the chunk's forward pass gives every pair's slope
     alpha at once: wp is affine in each pair's entry, so the derivative is
@@ -186,19 +176,21 @@ def _slopes(m: ComparisonMatrix, rows: np.ndarray, player: int):
     next keeps its memory within one chunk.
     """
     i, j = np.triu_indices(rows.shape[1], 1)
+    ps = m.probs[i, j]
+    inside = (0.0 < ps) & (ps < 1.0)
     for perm, pq in _leaf_stacks(m, rows):
         levels = _reach(pq)
         pos = np.argsort(perm, axis=1)  # leaf of each player
         at = np.arange(len(pos))
         leaf = pos[:, player - 1]
-        alphas = _reach_adjoint(pq, levels, leaf)
-        yield levels[-1][at, leaf], alphas[at[:, None], pos[:, i], pos[:, j]]
-
-
-def _drop_coefficients(m: ComparisonMatrix, alphas: np.ndarray) -> np.ndarray:
-    """`robustness.sensitivity(...).drop_coefficient` of each row of slopes,
-    without the reports."""
-    return _contributions(alphas, m.probs[np.triu_indices(m.size, 1)])[1]
+        alphas = _reach_adjoint(pq, levels, leaf)[at[:, None], pos[:, i], pos[:, j]]
+        # at the boundary only the feasible direction can hurt; where() keeps
+        # the sign of a zero, as Python's max(x, 0.0) does and maximum() does not
+        hurt = np.where(ps == 1.0, alphas, -alphas)
+        c = np.where(inside, np.abs(alphas), np.where(hurt < 0.0, 0.0, hurt))
+        # left to right as Python's sum adds, not pairwise as np.sum; + 0.0
+        # makes a sum of -0.0 terms 0.0, as sum's start value 0 does
+        yield levels[-1][at, leaf], alphas, c, np.cumsum(c, axis=1)[:, -1] + 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import io
@@ -552,8 +553,50 @@ def test_solve_at_1024_players_is_refused_before_its_swaps_are_built(tmp_path):
 
 
 def test_solve_requires_problem_parameters(capsys, hard2):
-    with pytest.raises(SystemExit):
-        main(["solve", "rtfp", "--matrix", hard2, "--player", "1"])
+    code, doc = run_json(capsys, "solve", "rtfp", "--matrix", hard2, "--player", "1")
+    assert code == 2
+    assert doc["error"] == {"kind": "ParameterError",
+                            "message": "the following arguments are required: --c"}
+
+
+# usage errors that argparse finds: a JSON error on stdout, as for any other
+# refusal, and argparse's own usage and error lines on stderr
+USAGE_ERRORS = [
+    ["oracle", "drop", "--matrix", "M", "--draw", "D", "--player", "1", "--eps", "0.1",
+     "--bogus"],
+    ["solve", "tfp", "--player", "abc"],
+    ["gen", "hard"],
+    [],
+    ["draws", "list", "x"],
+    ["solve", "rtfp", "--matrix", "M", "--player", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS,
+                         ids=["unknown-flag", "bad-int", "no-n", "no-command", "bad-n", "no-c"])
+def test_a_usage_error_is_a_json_error_beside_argparse_usage(capsys, monkeypatch, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "ParameterError"
+    assert err.startswith("usage: bkt")
+    assert err.endswith(f": error: {error['message']}\n")
+    # stderr is what argparse's own error exit writes
+    monkeypatch.setattr(bkt.cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as stock:
+        main(argv)
+    assert stock.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_help_exits_zero_where_a_usage_error_exits_two(capsys):
+    for argv in (["--help"], ["oracle", "drop", "--help"]):
+        with pytest.raises(SystemExit) as help_exit:
+            main(argv)
+        assert help_exit.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bkt")
+    assert main(["oracle", "drop"]) == 2
 
 
 def test_drop_rejects_nan_eps(capsys, hard2, ident4):
@@ -643,6 +686,8 @@ def test_oracle_drop_ends_at_once_past_four_players(tmp_path):
                          env=src_env(), timeout=30)
     assert out.returncode == 2, out.stdout + out.stderr
     assert "unrecognized arguments: --allow-large" in out.stderr
+    assert json.loads(out.stdout)["error"] == {
+        "kind": "ParameterError", "message": "unrecognized arguments: --allow-large"}
     out = subprocess.run(argv, capture_output=True, text=True, env=src_env(), timeout=30)
     assert out.returncode == 2, out.stdout + out.stderr
     assert json.loads(out.stdout)["error"] == {
@@ -688,7 +733,8 @@ def test_draws_list(capsys):
 def test_draws_list_needs_limit_or_override_when_large(capsys):
     code, doc = run_json(capsys, "draws", "list", "4")
     assert code == 2
-    assert doc["error"]["kind"] == "ScaleError"
+    assert doc["error"] == {"kind": "ScaleError",
+                            "message": "enumeration of 16 players needs --limit (limit is 8)"}
     code, doc = run_json(capsys, "draws", "list", "4", "--limit", "2")
     assert code == 0
     assert len(doc["result"]["draws"]) == 2

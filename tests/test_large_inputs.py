@@ -200,7 +200,8 @@ def test_perturb_under_an_address_space_cap_finishes_or_reports_memory_error(tmp
     # With 4-21 MB above the size after import, orjson would run out of room
     # reading this 1.3 MB document, which json.loads now reads; from about
     # 48 MB orjson reads it with little more than the room it reserves.
-    # Above 14 MB or so orjson writes the perturbed table.
+    # Above 9 MB or so orjson writes the perturbed table (perturb hashes no
+    # input, so it does not load hashlib and its OpenSSL library).
     path = tmp_path / "m.json"
     path.write_text(json.dumps(_doc()))
     argv = ["perturb", "--matrix", str(path), "--eps", "0.01"]

@@ -281,10 +281,18 @@ def _outcome(build):
     ([], "DimensionError"),
     ([[]], "DimensionError"),
     (0.5, "DimensionError"),
+    # arrays that are not of bools or real numbers are read as their lists
+    (np.array([["0", "0.25"], [" 0.75 ", "0"]]), "ok"),
+    (np.array([["0", "1_0"], ["-9", "0"]]), "RangeError"),
+    (np.array([["0", "x"], ["0.5", "0"]]), "RangeError"),
+    (np.array([["anything", "0.5"], ["0.5", "anything"]]), "ok"),
+    (np.array(["01", "00"]), "ok"),
+    (np.array([[0, 1j], [1, 0]]), "RangeError"),  # not the 0/1 table of its real parts
 ])
 def test_one_call_table_reader_agrees_with_per_cell_reader(raw, kind):
     fast = _outcome(lambda: validate_matrix(raw))
-    assert fast == _outcome(lambda: validate_matrix(_coerce_cells(raw)))
+    cells = raw.tolist() if isinstance(raw, np.ndarray) else raw
+    assert fast == _outcome(lambda: validate_matrix(_coerce_cells(cells)))
     assert fast[0] == kind
 
 

@@ -142,10 +142,10 @@ def inputs(tmp_path_factory):
     (["gen", "hard", "2"], 0, SLOW),
     (["gen", "threetier", "2", "--eps", "0.1"], 0, SLOW),
     (["gen", "hard", "7"], 0, SLOW),  # 128 players, but two entries
-    (["perturb", "--matrix", "M", "--eps", "0.1"], 0, SLOW[:-1]),
+    (["perturb", "--matrix", "M", "--eps", "0.1"], 0, SLOW),
     # orjson writes a table of 128 players or more with many entries
-    (["perturb", "--matrix", "S", "--eps", "0.05"], 0, SLOW[:-1]),
-    (["perturb", "--matrix", "I", "--eps", "0.05"], 0, SLOW[:-1]),
+    (["perturb", "--matrix", "S", "--eps", "0.05"], 0, SLOW),
+    (["perturb", "--matrix", "I", "--eps", "0.05"], 0, SLOW),
     (["solve", "tfp", "--matrix", "M", "--player", "1"], 0, ["bkt.robustness", "bkt.generators"]),
     (["solve", "ptfp", "--matrix", "M", "--player", "1", "--q", "0.5", "--heuristic"], 0,
      ["bkt.robustness", "bkt.generators"]),

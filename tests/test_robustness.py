@@ -41,7 +41,7 @@ from bkt import (
     worst_perturbation_witness,
     wp_by_outcome_enumeration,
 )
-from bkt.winprob import _drop_coefficients, _slopes
+from bkt.winprob import _slopes
 from helpers import (
     _stack_win_probabilities,
     corner_descent,
@@ -55,7 +55,7 @@ from helpers import (
 
 def drop_coefficients(m, rows, player):
     """(B,) drop coefficients of leaf rows, chunk by chunk, as the scans take them."""
-    return np.concatenate([_drop_coefficients(m, a) for _, a in _slopes(m, rows, player)])
+    return np.concatenate([s for *_, s in _slopes(m, rows, player)])
 
 
 def all_even(size):

@@ -580,7 +580,7 @@ def test_batched_winning_probabilities_equal_the_per_draw_ones(size):
     for player in (1, size):
         want = [float(win_probabilities(m, d)[player - 1]) for d in draws]
         assert _player_reach(m, rows, player)[:, -1].tolist() == want
-        assert np.concatenate([wp for wp, _ in _slopes(m, rows, player)]).tolist() == want
+        assert np.concatenate([wp for wp, *_ in _slopes(m, rows, player)]).tolist() == want
 
 
 def test_scores_take_slopes_a_chunk_at_a_time_up_to_the_first_ok_row(monkeypatch):
