@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -147,13 +148,15 @@ def _inputs(args):
 
 
 _CHUNK_CELLS = 1 << 16  # matrix cells joined into one write
+# A document of fewer values than this is written by json, as orjson's
+# import alone takes 4.3-9 ms.  At 32 players (6 529 values) a drop report
+# took json 6.6 ms, and orjson about as long.  On an interior table, in a
+# fresh process, the words took 5.0 ms and orjson with its import 8.5 ms at
+# 64 players (4 096 cells), and 33 ms against 12 ms at 128 (16 384 cells).
+_ORJSON_MIN_VALUES = 1 << 13
 # A table of more distinct entries than this, and of at least
-# _ORJSON_MIN_CELLS cells, is written by orjson.  Below that size orjson's
-# import costs more than it saves: on an interior table, in a fresh process,
-# the words took 5.0 ms and orjson with its import 8.5 ms at 64 players,
-# and 33 ms against 12 ms at 128 players.
+# _ORJSON_MIN_VALUES cells, is written by orjson.
 _FEW_ENTRIES = 64
-_ORJSON_MIN_CELLS = 128 * 128
 # Address space orjson.dumps may take, per cell.  An entry's text is at
 # most 23 bytes (1.2345678901234567e-100), so with its indent, comma and
 # newline a cell takes at most 31 bytes; orjson doubles its buffer as it
@@ -175,7 +178,7 @@ def _matrix_lines(m: ComparisonMatrix):
     ordered = np.sort(bits)
     keys = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     del ordered
-    if len(keys) > _FEW_ENTRIES and bits.size >= _ORJSON_MIN_CELLS:
+    if len(keys) > _FEW_ENTRIES and bits.size >= _ORJSON_MIN_VALUES:
         yield _orjson_matrix(m)
         return
     at = np.searchsorted(keys, bits).reshape(size, size)
@@ -210,56 +213,55 @@ def _orjson_matrix(m: ComparisonMatrix) -> str:
     return doc.decode()
 
 
-# orjson writes a float as json does but for |x| in [1e-5, 1e-4) (0.00001
-# for 1e-05), a one-digit negative exponent (1e-6 for 1e-06) and |x| >= 1e16
-# (1e16 for 1e+16), which the callers keep from it.  Each pattern starts with
-# a literal: a leading lookbehind made a split of 22 MB take 0.6 s, not 0.04 s.
+# orjson writes a finite float as json does but for |x| in [1e-5, 1e-4)
+# (0.00001 for 1e-05), a one-digit negative exponent (1e-6 for 1e-06) and a
+# positive exponent (1e16 for 1e+16).  Each pattern starts with a literal: a
+# leading lookbehind made a split of 22 MB take 0.6 s, not 0.04 s.
 _DECIMAL = re.compile(rb"(0\.0000\d+)")
-_EXPONENT = re.compile(rb"(e-\d+)")
-# A report result of fewer values than this is written by json.dumps, at
-# about 1 us a value, as orjson's import alone takes 4.3-9 ms: at 32 players
-# (6 529 values) a drop report took json 6.6 ms, and orjson about as long.
-_ORJSON_MIN_VALUES = 1 << 13
+_EXPONENT = re.compile(rb"(e-?\d+)")
 # Address space orjson.dumps may take, per value of a result: a member's
 # text, indent and key take at most 64 bytes, and its buffer may be twice that.
 _ORJSON_VALUE_BYTES = 128
 
 
 def _as_json_floats(doc: bytes) -> bytes:
-    """orjson's text doc, of no float past 1e16, as json writes it."""
+    """orjson's text doc, of finite floats only, as json writes it."""
     parts = _DECIMAL.split(doc)
     # a token after a digit is inside a number such as 10.00001
     parts[1::2] = [t if p[-1:].isdigit() else repr(float(t)).encode()
                    for p, t in zip(parts[::2], parts[1::2])]
     parts = _EXPONENT.split(b"".join(parts))
-    parts[1::2] = [b"e-0" + t[2:] if len(t) == 3 else t for t in parts[1::2]]
+    # e16 becomes e+16, and e-6 becomes e-06
+    parts[1::2] = [b"e+" + t[1:] if t[1:2] != b"-" else b"e-0" + t[2:] if len(t) == 3 else t
+                   for t in parts[1::2]]
     return b"".join(parts)
 
 
 def _census(result) -> tuple[int, bool]:
     """(the number of values in result at every depth, whether every float
-    is finite and below 1e16 in magnitude), a depth at a time.  Only plain
-    dicts, lists and tuples are entered, as orjson takes no subclass."""
-    level, values, plain = [result], 0, True
+    is finite), a depth at a time.  Only plain dicts, lists and tuples are
+    entered, as orjson takes no subclass."""
+    level, values, finite = [result], 0, True
     while level:
         members = list(itertools.chain.from_iterable(
             [v.values() if type(v) is dict else v for v in level]))
         kinds = list(map(type, members))
         values += len(members)
         floats = itertools.compress(members, map({float}.__contains__, kinds))
-        plain = plain and all(map((1e16).__gt__, map(abs, floats)))
+        finite = finite and all(map(math.isfinite, floats))
         level = list(itertools.compress(members, map({dict, list, tuple}.__contains__, kinds)))
-    return values, plain
+    return values, finite
 
 
 def _report(command: str, inputs: dict, result, warnings: list) -> str:
     """The text of json.dumps of the report envelope, indent=2.  A result of
-    _ORJSON_MIN_VALUES values or more that _census passes is written by one
-    orjson call unless orjson refuses it (an integer past 64 bits, a key not
-    a str, a numpy scalar); json writes the user text around it."""
+    _ORJSON_MIN_VALUES values or more, all its floats finite (orjson writes
+    NaN and inf as null), is written by one orjson call unless orjson refuses
+    it (an integer past 64 bits, a key not a str, a numpy scalar); json
+    writes the user text around it."""
     doc = {"command": command, "inputs": inputs, "result": result, "warnings": warnings}
-    values, plain = _census(result)
-    if values < _ORJSON_MIN_VALUES or not plain:
+    values, finite = _census(result)
+    if values < _ORJSON_MIN_VALUES or not finite:
         return json.dumps(doc, indent=2)
     import orjson
 

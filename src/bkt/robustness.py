@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -135,13 +135,7 @@ class DropEstimate:
     exceeds_validity: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "drop": self.drop,
-            "guaranteed": self.guaranteed,
-            "clamped": self.clamped,
-            "exceeds_validity": self.exceeds_validity,
-        }
+        return asdict(self)
 
 
 def _check_eps(eps: float) -> None:
@@ -249,10 +243,7 @@ class CrucialMatchReport:
         return {
             "player": self.player,
             "count": self.count,
-            "crucial": [
-                {"round": mt.round, "node": mt.node, "first": mt.first, "second": mt.second}
-                for mt in self.crucial
-            ],
+            "crucial": [mt._asdict() for mt in self.crucial],
         }
 
 
@@ -324,9 +315,7 @@ def crucial_matches_oracle(m: ComparisonMatrix, d, player: int) -> CrucialMatchR
 
 
 def _corner_candidates(p: float, eps: float) -> list[float]:
-    vals = {v for v in (p - eps, p + eps) if 0.0 <= v <= 1.0}
-    vals |= {v for v in (0.0, 1.0) if p - eps <= v <= p + eps}
-    return sorted(vals)
+    return sorted({max(0.0, p - eps), min(1.0, p + eps)})
 
 
 def exact_worst_drop_oracle(m: ComparisonMatrix, d, player: int,
@@ -334,7 +323,7 @@ def exact_worst_drop_oracle(m: ComparisonMatrix, d, player: int,
     """Exact worst-case drop by exhaustive corner evaluation.
 
     Multilinearity puts the minimum of wp over the eps-box at a corner, so
-    scanning the per-pair interval endpoints (plus 0/1 when reachable) is
+    scanning the two ends of each pair's interval, clipped to [0, 1], is
     exact.  The matrix and every corner are scored as one stack by outcome
     enumeration, independently of the reach kernel.  Returns (drop, the
     first minimizing corner's matrix).

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .draws import Draw, _canon_rows, _canonical_sequences
+from .draws import Draw, _canon_rows, _canonical_sequences, count_draws
 from .errors import (NoWinningDraw, NotDeterministic, ParameterError, ScaleError, _check_integer,
                      _check_memory, _check_real, _physical_memory)
 from .matrix import ComparisonMatrix, _check_player
@@ -246,7 +246,11 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
         _verify_witness(req, d, wp, s)
         return SolveResult(True, d, wp, s, len(seen), False)
 
+    # a small instance can run out of draws to examine before its restarts
+    every = count_draws(req.matrix.n) if size <= EXACT_LIMIT else math.inf
     for restart in range(restarts):
+        if len(seen) == every:
+            break
         # each random start is drawn only once the previous restarts are spent,
         # and numpy.random is imported only once there is one to draw
         if restart == 1:

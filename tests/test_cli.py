@@ -125,7 +125,7 @@ def test_matrix_out_of_memory_writes_only_the_error(capsys, monkeypatch, tmp_pat
                                 (np, "searchsorted", ["gen", "hard", "10"]),
                                 (np, "empty", many), (orjson, "dumps", many)):
         with monkeypatch.context() as patch:
-            patch.setattr(bkt.cli, "_ORJSON_MIN_CELLS", 0)
+            patch.setattr(bkt.cli, "_ORJSON_MIN_VALUES", 0)
             patch.setattr(module, fails, too_big)
             code, out = run(capsys, *argv)
         assert code == 2
@@ -159,8 +159,8 @@ def test_a_large_many_valued_matrix_is_written_whole_by_orjson(capsys, monkeypat
 
 def test_orjson_writes_entries_outside_0_to_1e_4_as_json_does():
     # the premise of both orjson writers: orjson writes a float as json does
-    # unless 0 < |x| < 1e-4, which _as_json_floats rewrites, or |x| >= 1e16,
-    # which it writes 1e16 where json writes 1e+16; a NaN diagonal reads null
+    # unless 0 < |x| < 1e-4 or |x| >= 1e16, where it writes 1e16 for json's
+    # 1e+16, and _as_json_floats rewrites both; a NaN diagonal reads null
     import orjson
 
     rng = np.random.default_rng(2016)
@@ -185,10 +185,10 @@ def test_orjson_writes_entries_outside_0_to_1e_4_as_json_does():
     huge = size >= 1e16
     assert [g for g, h in zip(got, huge) if h] == [w.replace("e+", "e") for w, h in zip(want, huge)
                                                   if h]
-    # and below 1e16 the rules make orjson's text json's
-    below = values[~huge].tolist()
-    assert _as_json_floats(orjson.dumps(below, option=orjson.OPT_INDENT_2)) == \
-        json.dumps(below, indent=2).encode()
+    # and the rules make orjson's text json's, up to the largest float
+    every = values.tolist()
+    assert _as_json_floats(orjson.dumps(every, option=orjson.OPT_INDENT_2)) == \
+        json.dumps(every, indent=2).encode()
     assert orjson.dumps(np.array([np.nan]), option=orjson.OPT_SERIALIZE_NUMPY) == b"[null]"
 
 
@@ -513,6 +513,22 @@ def test_solve_draws_each_restart_only_when_it_starts(tmp_path):
     result = json.loads(out.stdout)["result"]
     assert result["witness"] == list(range(1, 17))
     assert result["draws_examined"] == 1
+
+
+@pytest.mark.parametrize("size, draws", [(4, 3), (8, 315)])
+def test_a_small_heuristic_search_ends_once_every_draw_is_examined(tmp_path, size, draws):
+    # no draw reaches q = 1 on an interior matrix, and the budget counts
+    # distinct draws, so each of 10**9 restarts would climb again: days at 8
+    src = write_json(tmp_path / "m.json",
+                     random_matrix(np.random.default_rng(size), size, interior=True).to_json_dict())
+    out = subprocess.run(
+        [sys.executable, "-m", "bkt.cli", "solve", "ptfp", "--matrix", src, "--player", "1",
+         "--q", "1", "--heuristic", "--restarts", str(10**9)],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert out.returncode == 1, out.stdout + out.stderr
+    result = json.loads(out.stdout)["result"]
+    assert (result["answer"], result["exact"]) == ("not-found", False)
+    assert result["draws_examined"] == draws
 
 
 def test_solve_at_128_players_ends_at_its_draw_budget(tmp_path):
@@ -895,9 +911,9 @@ def test_invalid_matrix_content(capsys, tmp_path, ident4):
 
 _TRICKY_FLOATS = [1e-05, 9.5e-05, 2.5e-07, -1e-05, -9.5e-05, -2.5e-07, 10.00001, 100.000012,
                   -0.0, 5e-324, 1 - 2**-53, 1e-4, math.nextafter(1e-4, 0.0), 0.1 + 0.2, 1e15,
-                  -1e15, math.nextafter(1e16, 0.0)]
+                  -1e15, math.nextafter(1e16, 0.0), 1e16, -1e16, 1.5e300]
 # what orjson would write apart from json, or not at all: the json path takes them
-_NOT_FOR_ORJSON = [float("nan"), float("inf"), float("-inf"), 1e16, -1e16, 2**64, -2**63 - 1,
+_NOT_FOR_ORJSON = [float("nan"), float("inf"), float("-inf"), 2**64, -2**63 - 1,
                    {1: 0.5}, collections.OrderedDict(a=0.5), np.float64(0.5)]
 _report_floats = st.floats(-1.0, 1.0) | st.sampled_from(_TRICKY_FLOATS)
 _players = st.integers(1, 64)
@@ -1009,7 +1025,7 @@ def test_matrix_lines_match_indented_json(m, chunk_cells, few_entries):
     # 1 << 13 the binary search
     with mock.patch.object(bkt.cli, "_CHUNK_CELLS", chunk_cells), \
             mock.patch.object(bkt.cli, "_FEW_ENTRIES", few_entries), \
-            mock.patch.object(bkt.cli, "_ORJSON_MIN_CELLS", 0):
+            mock.patch.object(bkt.cli, "_ORJSON_MIN_VALUES", 0):
         text = "".join(_matrix_lines(m))
     assert text == json.dumps(m.to_json_dict(), indent=2)
 
@@ -1029,6 +1045,103 @@ def test_cli_needs_only_loads_and_dumps_from_json(capsys, monkeypatch, hard2, id
         loads=json.loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError))
     assert [run(capsys, *argv) for argv in argvs] == plain
     assert all(code == 0 for code, _ in plain)
+
+
+# ------------------------------------------------------- the contract, fuzzed
+
+
+_NUMBERS = ["0", "-0", "0.5", "1e-9", "1e400", "nan", "inf", "x", "", str(2**70),
+            *map(str, range(-1, 6))]
+# values each option takes; --player's and the inputs' depend on the size
+_LIKELY = {"n": ["2", "3"], "--eps": ["0.1", "1e-9"], "--p": ["0.7"], "--q": ["0", "0.5", "1"],
+           "--c": ["0", "3"], "--s": ["0", "3"], "--restarts": ["1", str(2**70)],
+           "--seed": ["0", str(2**70)], "--limit": ["0", "3", str(2**70)]}
+# each command's words and the options it may take; "n" is its positional
+# number, and a flag in _FLAGS takes no value
+_COMMANDS = [
+    *[(["gen", fam], ["n", *extra]) for fam, extra in
+      [("hard", []), ("unbalanced", []), ("bigsmall", ["--p"]), ("threetier", ["--eps"])]],
+    (["perturb"], ["--matrix", "--eps"]),
+    (["winprob"], ["--matrix", "--draw", "--player"]),
+    (["drop"], ["--matrix", "--draw", "--player", "--eps", "--witness"]),
+    (["crucial"], ["--matrix", "--draw", "--player", "--oracle"]),
+    *[(["solve", problem], ["--matrix", "--player", *bounds, "--heuristic", "--restarts", "--seed"])
+      for problem, bounds in [("tfp", []), ("ptfp", ["--q"]), ("rtfp", ["--c"]),
+                              ("rptfp", ["--q", "--s"])]],
+    (["oracle", "wp"], ["--matrix", "--draw", "--player"]),
+    (["oracle", "drop"], ["--matrix", "--draw", "--player", "--eps"]),
+    (["draws", "count"], ["n"]),
+    (["draws", "list"], ["n", "--limit"]),
+]
+_FLAGS = {"--witness", "--oracle", "--heuristic", "--pretty"}
+
+
+@pytest.fixture(scope="module")
+def documents():
+    """The bytes of each input document, by name."""
+    rng = np.random.default_rng(14)
+    docs = {f"interior{size}": json.dumps(random_matrix(rng, size, interior=True).to_json_dict())
+            for size in (2, 4, 8)}
+    docs.update({f"hard{1 << n}": json.dumps(gen_hard(n).to_json_dict()) for n in (1, 2, 3)})
+    docs.update({f"draw{size}": json.dumps({"leaves": list(range(size, 0, -1))})
+                 for size in (2, 4, 8)})
+    docs.update(nan='{"n": 1, "matrix": [[null, NaN], [NaN, null]]}', empty="",
+                array="[[null, 0.5], [0.5, null]]",
+                ragged='{"n": 1, "matrix": [[null, 0.5], [0.5]]}')
+    docs = {name: text.encode() for name, text in docs.items()}
+    docs["not_utf8"] = b'{"n": 1, "matrix": "\xc3\x28"}'
+    return docs
+
+
+@pytest.fixture(scope="module")
+def document_paths(tmp_path_factory, documents):
+    """The path of each document by name, beside a missing one, a directory
+    and stdin."""
+    root = tmp_path_factory.mktemp("documents")
+    for name, raw in documents.items():
+        (root / f"{name}.json").write_bytes(raw)
+    return {**{name: str(root / f"{name}.json") for name in documents},
+            "missing": str(root / "missing.json"), "directory": str(root), "stdin": "-"}
+
+
+@st.composite
+def _invocations(draw, paths):
+    """The argv of a command of _COMMANDS: each flag a coin toss, each other
+    option mostly present, and its value mostly one the option takes, with
+    inputs of one size."""
+    words, options = draw(st.sampled_from(_COMMANDS))
+    size = draw(st.sampled_from([2, 4, 8]))
+    likely = {**_LIKELY, "--matrix": [paths[f"interior{size}"], paths[f"hard{size}"]],
+              "--draw": [paths[f"draw{size}"]], "--player": [str(k) for k in range(1, size + 1)]}
+    argv = list(words)
+    for option in [*options, "--pretty"]:
+        if option in _FLAGS:
+            argv += [option] * draw(st.booleans())
+        elif draw(st.integers(0, 7)):
+            wild = list(paths.values()) if option in ("--matrix", "--draw") else _NUMBERS
+            values = likely[option] if draw(st.integers(0, 7)) else wild
+            argv += [option] * (option != "n") + [draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_invocation_exits_0_1_or_2_with_one_json_document(documents, document_paths,
+                                                                data):
+    argv = data.draw(_invocations(document_paths))
+    piped = data.draw(st.sampled_from(sorted(documents)))
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(documents[piped]))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    out = out.getvalue()
+    assert code in (0, 1, 2), (argv, out)
+    if code == 2:
+        doc = json.loads(out)
+        assert list(doc) == ["error"] and list(doc["error"]) == ["kind", "message"], out
+        assert out == json.dumps(doc) + "\n"
+    elif "--pretty" not in argv:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 # -------------------------------------------------------------- installation
