@@ -35,7 +35,7 @@ finally:
     if _cap_blas:
         del os.environ[_BLAS_THREADS]
 
-from .errors import BktError, ParameterError, ScaleError, _check_memory, _physical_memory
+from .errors import BktError, ParameterError, ScaleError, _check_memory
 from .matrix import ComparisonMatrix, _check_player, matrix_from_json_dict
 
 
@@ -291,9 +291,8 @@ def _print_matrix(m: ComparisonMatrix, pretty: bool) -> None:
         print(f"{i + 1:>4} " + "".join(cells))
 
 
-def _emit_report(args, inputs: dict, result: dict, warnings: list,
-                 pretty_lines=None) -> None:
-    if args.pretty and pretty_lines is not None:
+def _emit_report(args, inputs: dict, result: dict, warnings: list, pretty_lines) -> None:
+    if args.pretty:
         for line in pretty_lines:
             print(line)
         for w in warnings:
@@ -452,7 +451,7 @@ def _cmd_draws(args) -> int:
         # labels, N + 1 <= 2**(n + 1) values, counted as the writer counts them
         rows = min(args.limit, count_draws(args.n)) if args.n <= 5 else args.limit
         _check_memory((rows * _ORJSON_VALUE_BYTES - 1).bit_length() + args.n + 1,
-                      f"listing {rows} draws of 2**{args.n} players", _physical_memory())
+                      f"listing {rows} draws of 2**{args.n} players")
     try:
         gen = enumerate_draws(args.n, allow_large=args.limit is not None)
     except ScaleError as e:  # name the flag the command line has

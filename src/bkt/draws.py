@@ -12,7 +12,7 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import PermutationError, ScaleError, _check_memory, _check_rounds, _physical_memory
+from .errors import PermutationError, ScaleError, _check_memory, _check_rounds
 
 # Full enumeration beyond 8 players is an explicit opt-in: 16 players already
 # have 638 512 875 equivalence classes.
@@ -126,7 +126,7 @@ def enumerate_draws(n: int, *, allow_large: bool = False) -> Iterator[Draw]:
     whose N**2 / 2 bytes exceed physical memory is refused up front.
     """
     n = _check_rounds(n)
-    _check_memory(2 * n - 1, f"listing draws of 2**{n} players", _physical_memory())
+    _check_memory(2 * n - 1, f"listing draws of 2**{n} players")
     N = 1 << n
     if N > ENUMERATION_LIMIT and not allow_large:
         raise ScaleError(

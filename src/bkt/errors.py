@@ -33,8 +33,8 @@ class PermutationError(BktError):
 
 
 class ScaleError(BktError):
-    """Instance is too large: for an exhaustive operation (override to force),
-    or for its table to fit in physical memory."""
+    """Instance is too large: for an exhaustive operation, or for its table
+    to fit in physical memory."""
 
 
 class NotDeterministic(BktError):
@@ -104,9 +104,10 @@ def _physical_memory() -> int | None:
 _ADDRESSABLE = (1 << 63) - 1
 
 
-def _check_memory(log2_bytes: int, what: str, memory: int | None) -> None:
-    """ScaleError if 2**log2_bytes bytes exceed memory (None: unknown),
-    compared by exponent so that an absurd size builds no huge integer."""
+def _check_memory(log2_bytes: int, what: str) -> None:
+    """ScaleError if 2**log2_bytes bytes exceed physical memory, compared by
+    exponent so that an absurd size builds no huge integer."""
+    memory = _physical_memory()
     if log2_bytes >= (_ADDRESSABLE if memory is None else memory).bit_length():
         where = ("any host can address" if memory is None
                  else f"the {memory} bytes of physical memory")

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ParameterError, RangeError, _check_memory, _check_number, _check_rounds,
-                     _physical_memory)
+from .errors import ParameterError, RangeError, _check_memory, _check_number, _check_rounds
 from .matrix import ComparisonMatrix, validate_matrix
 
 
@@ -20,7 +19,7 @@ def _check_n(n: int, table_extra: int | None = None) -> int:
         return n
     rounds = n + table_extra
     # the table's 8*N*N bytes are 2**(2*rounds + 3)
-    _check_memory(2 * rounds + 3, f"a table of 2**{rounds} players", _physical_memory())
+    _check_memory(2 * rounds + 3, f"a table of 2**{rounds} players")
     return n
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .draws import Draw, _canon_rows, _canonical_sequences, count_draws
 from .errors import (NoWinningDraw, NotDeterministic, ParameterError, ScaleError, _check_integer,
-                     _check_memory, _check_real, _physical_memory)
+                     _check_memory, _check_real)
 from .matrix import ComparisonMatrix, _check_player
 from .winprob import _player_reach, _row_keys, _slopes, win_probabilities
 
@@ -177,9 +177,7 @@ def _solve_exact(req: SolveRequest) -> SolveResult:
     if hit is None:
         return SolveResult(False, None, None, None, len(rows), True)
     k = scores.shape[1]
-    d = Draw(tuple(rows[k - 1].tolist()))
-    _verify_witness(req, d, *hit)
-    return SolveResult(True, d, *hit, k, True)
+    return SolveResult(True, Draw(tuple(rows[k - 1].tolist())), *hit, k, True)
 
 
 def _neighbourhood_size(size: int) -> int:
@@ -211,15 +209,14 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
     if step > DRAW_BUDGET:
         raise ScaleError(f"a heuristic search of {size} players examines {step} draws a step, "
                          f"more than its budget of {DRAW_BUDGET}")
-    _check_memory((step * size * 8 - 1).bit_length(), f"the {step} swaps of {size} players",
-                  _physical_memory())
+    _check_memory((step * size * 8 - 1).bit_length(), f"the {step} swaps of {size} players")
     # every examined draw, as a key into the columns of one score table
     # (primary, secondary), which doubles whenever it fills
     seen: dict[bytes, int] = {}
     table = np.empty((2, 1024))
 
     def visit(rows):
-        """(the table column of each canonical row, None), or (None, (row, wp,
+        """(the table column of each canonical row, None), or (None, (draw, wp,
         s)) of the first ok row.  The rows not seen before are scored in one
         batch, up to the first ok one, and remembered."""
         nonlocal table
@@ -238,13 +235,8 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
         table[:, lo:hi] = scores
         seen.update(zip(fresh, range(lo, hi)))
         if hit is not None:
-            return None, (rows[at[hi - lo - 1]], *hit)
+            return None, (Draw(tuple(rows[at[hi - lo - 1]].tolist())), *hit)
         return [seen[key] for key in keys], None
-
-    def found(row, wp, s):
-        d = Draw(tuple(row.tolist()))
-        _verify_witness(req, d, wp, s)
-        return SolveResult(True, d, wp, s, len(seen), False)
 
     # a small instance can run out of draws to examine before its restarts
     every = count_draws(req.matrix.n) if size <= EXACT_LIMIT else math.inf
@@ -256,27 +248,24 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
         if restart == 1:
             rng = np.random.default_rng(seed)
         start = np.arange(1, size + 1) if restart == 0 else rng.permutation(size) + 1
-        rows = _canon_rows(start[None])
-        cols, hit = visit(rows)
-        if hit:
-            return found(*hit)
-        cur, cur_score = rows[0], tuple(table[:, cols[0]].tolist())
+        # the start is a neighbourhood of one row, which the climb always takes
+        rows, cur_score = _canon_rows(start[None]), None
         while True:
-            if len(seen) >= DRAW_BUDGET:
-                return SolveResult(False, None, None, None, len(seen), False, budget_spent=True)
-            rows = _canon_rows(cur[_swaps(size)])
             cols, hit = visit(rows)
             if hit:
-                return found(*hit)
+                return SolveResult(True, *hit, len(seen), False)
             # the first neighbour with the largest (primary, secondary) score
             primary, secondary = table[:, cols]
             top = primary == primary.max()
             top &= secondary == secondary[top].max()
             k = int(np.argmax(top))
             score = (float(primary[k]), float(secondary[k]))
-            if not score > cur_score:
+            if cur_score is not None and not score > cur_score:
                 break
             cur, cur_score = rows[k].copy(), score
+            if len(seen) >= DRAW_BUDGET:
+                return SolveResult(False, None, None, None, len(seen), False, budget_spent=True)
+            rows = _canon_rows(cur[_swaps(size)])
     return SolveResult(False, None, None, None, len(seen), False)
 
 
@@ -292,9 +281,10 @@ def solve(req: SolveRequest, *, restarts: int = 10, seed: int = 0) -> SolveResul
     mode = req.mode
     if mode == "auto":
         mode = "exact" if req.matrix.size <= EXACT_LIMIT else "heuristic"
-    if mode == "exact":
-        return _solve_exact(req)
-    return _solve_heuristic(req, restarts, seed)
+    res = _solve_exact(req) if mode == "exact" else _solve_heuristic(req, restarts, seed)
+    if res.answer:
+        _verify_witness(req, res.witness, res.wp, res.drop_coefficient)
+    return res
 
 
 def best_draw(m: ComparisonMatrix, player: int) -> tuple[Draw, float]:

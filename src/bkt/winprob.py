@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .draws import Draw, canonicalize
-from .errors import DimensionMismatch, NotDeterministic, ScaleError
+from .errors import DimensionMismatch, NotDeterministic, ScaleError, _check_integer
 from .matrix import ComparisonMatrix, _check_player
 
 # 2**(N-1) outcome combinations; 16 players (32768 rows) is the sane limit.
@@ -208,14 +208,22 @@ class ReachTable:
     def rounds(self) -> int:
         return len(self.levels) - 1
 
+    def _node(self, level, index) -> slice:
+        """The leaf positions under a node, once the node is checked to be
+        in the tree; else ParameterError."""
+        level = _check_integer(level, 0, self.rounds,
+                               f"level must be an integer in 0..{self.rounds}")
+        last = (1 << self.rounds - level) - 1
+        index = _check_integer(index, 0, last,
+                               f"index at level {level} must be an integer in 0..{last}")
+        return slice(index << level, index + 1 << level)
+
     def players_under(self, level: int, index: int) -> tuple[int, ...]:
-        width = 1 << level
-        return self.leaves[index * width:(index + 1) * width]
+        return self.leaves[self._node(level, index)]
 
     def distribution(self, level: int, index: int) -> dict[int, float]:
-        width = 1 << level
-        block = self.levels[level][index * width:(index + 1) * width]
-        return {p: float(v) for p, v in zip(self.players_under(level, index), block)}
+        at = self._node(level, index)
+        return {p: float(v) for p, v in zip(self.leaves[at], self.levels[level][at])}
 
     def probability(self, level: int, index: int, player: int) -> float:
         """Probability that `player` labels the node; 0 for players elsewhere."""

@@ -212,7 +212,7 @@ def test_gen_out_of_memory_is_a_json_error(capsys, monkeypatch, argv):
 
 
 def test_gen_past_physical_memory_is_a_scale_error(capsys, monkeypatch):
-    monkeypatch.setattr(bkt.generators, "_physical_memory", lambda: 4 << 20)
+    monkeypatch.setattr(bkt.errors, "_physical_memory", lambda: 4 << 20)
     code, doc = run_json(capsys, "gen", "hard", "10")
     assert code == 2
     assert doc["error"]["kind"] == "ScaleError"
@@ -223,10 +223,7 @@ def test_gen_past_physical_memory_is_a_scale_error(capsys, monkeypatch):
 def test_sizes_past_any_address_space_are_scale_errors_where_memory_is_unknown(
         capsys, monkeypatch, argv):
     # numpy's size limits and Python's digit limit would raise ValueError
-    import bkt.draws
-
-    monkeypatch.setattr(bkt.generators, "_physical_memory", lambda: None)
-    monkeypatch.setattr(bkt.draws, "_physical_memory", lambda: None)
+    monkeypatch.setattr(bkt.errors, "_physical_memory", lambda: None)
     code, doc = run_json(capsys, *argv)
     assert code == 2
     assert doc["error"]["kind"] == "ScaleError"
@@ -832,7 +829,7 @@ def test_draws_list_counts_the_rows_it_will_list_against_memory(capsys, monkeypa
     def unlisted(*args, **kwargs):
         raise AssertionError("enumerate_draws ran")
 
-    monkeypatch.setattr(bkt.cli, "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(bkt.errors, "_physical_memory", lambda: 8 << 30)
     monkeypatch.setattr(bkt.draws, "enumerate_draws", unlisted)
     code, doc = run_json(capsys, "draws", "list", "4", "--limit", "100000000")
     assert code == 2
@@ -840,7 +837,7 @@ def test_draws_list_counts_the_rows_it_will_list_against_memory(capsys, monkeypa
     assert doc["error"]["message"].startswith("listing 100000000 draws of 2**4 players")
     # a limit past every draw counts the draws there are: 315 at 8 players
     monkeypatch.undo()
-    monkeypatch.setattr(bkt.cli, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(bkt.errors, "_physical_memory", lambda: 1 << 20)
     code, doc = run_json(capsys, "draws", "list", "3", "--limit", str(10**30))
     assert code == 0
     assert len(doc["result"]["draws"]) == 315

@@ -114,7 +114,7 @@ def test_enumerate_guard_and_override():
 def test_enumeration_past_physical_memory_is_refused_before_building(monkeypatch):
     # 2**11 players would take about 2**21 bytes: refused at 1 MiB whatever
     # allow_large says, while 2**10 players still list
-    monkeypatch.setattr(bkt.draws, "_physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(bkt.errors, "_physical_memory", lambda: 1 << 20)
     for n, allow_large in ((11, False), (11, True), (10**9, True)):
         with pytest.raises(ScaleError, match="physical memory"):
             enumerate_draws(n, allow_large=allow_large)

@@ -21,7 +21,7 @@ from bkt import (
     winner,
     worst_perturbation_witness,
 )
-from bkt import generators
+from bkt import errors, generators
 from helpers import hard_by_spawning, unbalanced_by_loop
 
 
@@ -363,16 +363,16 @@ def test_pairing_strong_with_weak_helps_the_strong_side():
 def test_table_past_physical_memory_is_a_scale_error(monkeypatch, build):
     # 1024 players take 8 MiB: refused at 4 MiB before anything is
     # allocated, built at 16 MiB
-    monkeypatch.setattr(generators, "_physical_memory", lambda: 4 << 20)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 4 << 20)
     with pytest.raises(ScaleError, match="physical memory"):
         build(10)
     assert build(4).size == 16
-    monkeypatch.setattr(generators, "_physical_memory", lambda: 16 << 20)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 16 << 20)
     assert build(10).size == 1024
 
 
 def test_absurd_round_count_is_refused_without_building_it(monkeypatch):
-    monkeypatch.setattr(generators, "_physical_memory", lambda: 8 << 30)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: 8 << 30)
     with pytest.raises(ScaleError):
         gen_hard(10**9)
     # the closed forms build no table
@@ -381,7 +381,7 @@ def test_absurd_round_count_is_refused_without_building_it(monkeypatch):
 
 
 def test_unknown_physical_memory_skips_the_check(monkeypatch):
-    monkeypatch.setattr(generators, "_physical_memory", lambda: None)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: None)
     assert gen_hard(3).size == 8
 
 

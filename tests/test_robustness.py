@@ -41,7 +41,7 @@ from bkt import (
     worst_perturbation_witness,
     wp_by_outcome_enumeration,
 )
-from bkt.winprob import _slopes
+from bkt.winprob import _outcome_weights, _slopes
 from helpers import (
     _stack_win_probabilities,
     corner_descent,
@@ -490,6 +490,58 @@ def test_first_order_floor_holds_against_corner_descent(size, random_starts, max
         errs[eps] = abs(rep.wp - corner_wp - rep.drop_coefficient * eps)
     if errs[1e-2] > 1e-12:
         assert errs[1e-3] / errs[1e-2] <= 0.05, errs
+
+
+def _near_violating_part():
+    """8 players, where player 1's 4-player part {5, 6, 7, 8} alone breaks
+    the first-order floor by about 2.7*eps**2 (ROADMAP item 12); its other
+    read entries are 0.979 and the unread ones 0.5."""
+    a = np.full((8, 8), 0.5)
+    for (i, j), p in {(1, 2): 0.979, (1, 3): 0.979, (1, 4): 0.979, (3, 4): 0.979,
+                      (1, 5): 0.979, (1, 6): 0.061, (1, 7): 0.021, (1, 8): 0.979,
+                      (5, 6): 0.979, (7, 8): 0.979, (5, 7): 0.021, (5, 8): 0.779,
+                      (6, 7): 0.979, (6, 8): 0.979}.items():
+        a[i - 1, j - 1], a[j - 1, i - 1] = p, 1.0 - p
+    np.fill_diagonal(a, 0.0)
+    return validate_matrix(a)
+
+
+@pytest.mark.parametrize("kind", ["interior", "mixed", "near-violating part"])
+def test_first_order_floor_holds_exactly_at_8_players(kind):
+    # the player's wp reads its own 7 pairs and the pairs inside each of its
+    # opponent parts, the sibling blocks of its leaf: 7 + 0 + 1 + 6 = 14.
+    # Multilinearity puts the least wp over the eps-box at one of their 2**14
+    # corners, each scored here by outcome enumeration, independently of _reach
+    if kind == "near-violating part":
+        m, d, player = _near_violating_part(), canonicalize(tuple(range(1, 9))), 1
+    else:
+        rng = np.random.default_rng(1200)
+        m = _FLOOR_KINDS[kind](rng, 8)
+        d = canonicalize(tuple(int(x) + 1 for x in rng.permutation(8)))
+        player = int(np.argmax(win_probabilities(m, d))) + 1
+    seat = d.leaves.index(player)
+    read = set()
+    for k in range(3):
+        part = d.leaves[(seat >> k ^ 1) << k:((seat >> k ^ 1) + 1) << k]
+        read |= {(min(player, u), max(player, u)) for u in part}
+        read |= set(itertools.combinations(sorted(part), 2))
+    assert len(read) == 14
+    rep = sensitivity(m, d, player)
+    unread = [(i, j) not in read for i, j in zip(rep.columns.i, rep.columns.j)]
+    assert (rep.columns.alpha[unread] == 0.0).all()
+    i, j = np.array(sorted(read)).T - 1
+    p = m.probs[i, j]
+    bits = np.arange(1 << 14)[:, None] >> np.arange(14) & 1
+    for eps in {min(0.01, m.xi), m.xi}:
+        corners = np.stack([np.maximum(p - eps, 0.0), np.minimum(p + eps, 1.0)])[bits, range(14)]
+        # the matrix itself, then a copy of it per corner
+        stack = np.repeat(m.probs[None], len(corners) + 1, axis=0)
+        stack[1:, i, j] = corners
+        stack[1:, j, i] = 1.0 - corners
+        weight, won = _outcome_weights(stack, d.leaves)
+        wps = weight[:, won == player - 1].sum(axis=1)
+        drop = wps[0] - wps[1:].min()
+        assert drop <= rep.drop_coefficient * eps + 1e-12, (eps, drop - rep.drop_coefficient * eps)
 
 
 def test_exact_oracle_dominates_witness_drop():

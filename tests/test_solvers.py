@@ -29,7 +29,7 @@ from bkt import (
     win_probabilities,
     winner,
 )
-from bkt import solvers, winprob
+from bkt import errors, solvers, winprob
 from bkt.draws import _canon_rows
 from bkt.solvers import _row_keys, _scores, _swaps, _verify_witness
 from bkt.winprob import _player_reach, _slopes
@@ -273,7 +273,7 @@ def test_heuristic_refuses_a_neighbourhood_past_its_budget_or_memory(
         monkeypatch, budget, memory, match):
     # 16 players: 155 rows of 16 entries, 19 840 bytes
     monkeypatch.setattr(solvers, "DRAW_BUDGET", budget)
-    monkeypatch.setattr(solvers, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(errors, "_physical_memory", lambda: memory)
     monkeypatch.setattr(solvers, "_swaps", None)  # refused before it is called
     with pytest.raises(ScaleError, match=match):
         solve(SolveRequest("TFP", gen_hard(4), 1, mode="heuristic"))

@@ -346,6 +346,16 @@ def test_reach_table_invariants():
             assert set(dist) == set(under)
 
 
+@pytest.mark.parametrize("node", [(1, 5), (2, 1), (-1, 0), (3, 0), (1.0, 0), (0, True)])
+def test_reach_table_refuses_a_node_outside_the_tree(node):
+    t = reach_table(gen_hard(2), (1, 2, 3, 4))
+    for read in (t.players_under, t.distribution, lambda *at: t.probability(*at, 1)):
+        with pytest.raises(ParameterError):
+            read(*node)
+    # a node in the tree gives 0.0 for a player outside it
+    assert t.probability(1, 1, 1) == 0.0 and t.probability(2, 0, 3) == 0.0
+
+
 def test_reach_table_uses_the_literal_tree():
     rng = np.random.default_rng(57)
     m = random_matrix(rng, 4)
