@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -237,31 +236,26 @@ def _as_json_floats(doc: bytes) -> bytes:
     return b"".join(parts)
 
 
-def _census(result) -> tuple[int, bool]:
-    """(the number of values in result at every depth, whether every float
-    is finite), a depth at a time.  Only plain dicts, lists and tuples are
-    entered, as orjson takes no subclass."""
-    level, values, finite = [result], 0, True
-    while level:
-        members = list(itertools.chain.from_iterable(
-            [v.values() if type(v) is dict else v for v in level]))
-        kinds = list(map(type, members))
-        values += len(members)
-        floats = itertools.compress(members, map({float}.__contains__, kinds))
-        finite = finite and all(map(math.isfinite, floats))
-        level = list(itertools.compress(members, map({dict, list, tuple}.__contains__, kinds)))
-    return values, finite
+def _values(x) -> int:
+    """The number of values in x at every depth, read from its shape: a list
+    or tuple is counted from its first member, as every result's lists hold
+    members of one shape (rows with the same keys, matrix rows, labels)."""
+    if type(x) is dict:
+        return sum(1 + _values(v) for v in x.values())
+    return len(x) * (1 + _values(x[0])) if type(x) in (list, tuple) and x else 0
 
 
 def _report(command: str, inputs: dict, result, warnings: list) -> str:
-    """The text of json.dumps of the report envelope, indent=2.  A result of
-    _ORJSON_MIN_VALUES values or more, all its floats finite (orjson writes
-    NaN and inf as null), is written by one orjson call unless orjson refuses
-    it (an integer past 64 bits, a key not a str, a numpy scalar); json
-    writes the user text around it."""
+    """The text of json.dumps of the report envelope, indent=2.  A result is
+    plain dicts, lists whose members share one shape, finite floats (each
+    made from a validated matrix and an eps in (0, 1]) and the program's own
+    strings.  One of _ORJSON_MIN_VALUES values or more is written by one
+    orjson call unless orjson refuses it (an integer past 64 bits, a key not
+    a str, a container subclass, a numpy scalar); json writes the user text
+    around it."""
     doc = {"command": command, "inputs": inputs, "result": result, "warnings": warnings}
-    values, finite = _census(result)
-    if values < _ORJSON_MIN_VALUES or not finite:
+    values = _values(result)
+    if values < _ORJSON_MIN_VALUES:
         return json.dumps(doc, indent=2)
     import orjson
 

@@ -27,8 +27,10 @@ from .errors import (
     NonpositiveEpsilon,
     NotDeterministic,
     NotWinner,
+    ParameterError,
     RangeError,
     ScaleError,
+    _check_integer,
     _check_number,
 )
 from .matrix import ComparisonMatrix, _check_player, validate_matrix
@@ -69,7 +71,8 @@ class SensitivityReport:
         return tuple(map(PairSensitivity._make, zip(*(c.tolist() for c in self.columns))))
 
     def pair(self, i: int, j: int) -> PairSensitivity:
-        i, j = min(i, j), max(i, j)
+        i, j = sorted(_check_integer(x, -np.inf, np.inf, "a pair's players must be integers")
+                      for x in (i, j))
         size = int(self.columns.j[-1])  # the last pair is (N - 1, N)
         if not 1 <= i < j <= size:
             raise KeyError((i, j))
@@ -197,14 +200,17 @@ def worst_perturbation_witness(
 ) -> WorstPerturbationWitness:
     """Move each pair entry by eps against the sign of its slope.
 
-    Requires eps <= xi(P), so an entry leaves [0, 1] only by the 1e-9
-    complement tolerance, and such an entry is clipped back.  The result
-    realizes the first-order drop up to O(eps^2).
+    Requires m to be the matrix the report was made from (else
+    ParameterError), and eps <= xi(P), so an entry leaves [0, 1] only by the
+    1e-9 complement tolerance, and such an entry is clipped back.  The
+    result realizes the first-order drop up to O(eps^2).
     """
     _check_eps(eps)
+    c = report.columns
+    if m.size != c.j[-1] or not np.array_equal(m.probs[c.i - 1, c.j - 1], c.p):
+        raise ParameterError("the report was not made from this matrix")
     if eps > m.xi:
         raise EpsilonTooLarge(f"eps {eps} exceeds the validity bound xi = {m.xi}")
-    c = report.columns
     down = (c.alpha > 0.0) & (c.p > 0.0)
     up = ~down & (c.alpha < 0.0) & (c.p < 1.0)
     # p - eps >= 0 as eps <= xi <= p, but p + eps may pass 1 by as much as

@@ -234,6 +234,11 @@ def test_report_views_match_its_columns(size):
         for i, j in [(1, 1), (size, size), (0, 2), (1, size + 1), (-1, 2)]:
             with pytest.raises(KeyError):
                 rep.pair(i, j)
+        # players follow the integer rule: numpy's integers count, a bool does not
+        for i, j in [(1, 2.5), (True, 3), (1, False), (1.0, 2), ("1", 2), (None, 2)]:
+            with pytest.raises(ParameterError):
+                rep.pair(i, j)
+        assert repr(rep.pair(np.int64(2), np.uint8(1))) == repr(want[0])
         assert repr(rep.alphas) == repr({(ps.i, ps.j): ps.alpha for ps in want})
         assert repr(rep.betas) == repr({(ps.i, ps.j): ps.beta for ps in want})
         rows = rep.to_json_dict()["alphas"]
@@ -396,6 +401,22 @@ def test_witness_respects_validity_bound():
     for eps in (0.0, float("nan")):
         with pytest.raises(NonpositiveEpsilon):
             worst_perturbation_witness(rep, m, eps)
+
+
+def test_witness_refuses_a_matrix_the_report_was_not_made_from():
+    rng = np.random.default_rng(29)
+    a, b = (random_matrix(rng, 8, interior=True) for _ in range(2))
+    rep = sensitivity(a, (3, 1, 4, 8, 5, 2, 6, 7), 2)
+    eps = 0.01
+    moved = a.probs.copy()
+    moved[2, 5], moved[5, 2] = moved[5, 2], moved[2, 5]
+    for m in (b, validate_matrix(moved), random_matrix(rng, 4, interior=True),
+              random_matrix(rng, 16, interior=True)):
+        with pytest.raises(ParameterError, match="not made from this matrix"):
+            worst_perturbation_witness(rep, m, eps)
+    # an equal copy of the report's matrix is its matrix
+    w = worst_perturbation_witness(rep, validate_matrix(a.probs.copy()), eps)
+    assert np.abs(w.matrix.probs - a.probs).max() == pytest.approx(eps)
 
 
 def test_witness_clips_an_entry_the_complement_tolerance_lets_pass_one():

@@ -46,7 +46,6 @@ def _jobs(args):
 def _digest(src: Path, argv: list[str]) -> str:
     """The exit code and stdout sha256 of one job run on the sources at src."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("BKT_JOBS", None)
     out = subprocess.run([sys.executable, "-m", "bkt.cli", *argv],
                          capture_output=True, env=env, timeout=JOB_TIMEOUT_S)
     return f"{out.returncode} {hashlib.sha256(out.stdout).hexdigest()}"
