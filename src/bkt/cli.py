@@ -454,7 +454,7 @@ def _cmd_draws(args) -> int:
         gen = itertools.islice(gen, min(args.limit, sys.maxsize))
     listed = [list(d.leaves) for d in gen]
     result = {"n": args.n, "draws": listed}
-    lines = [" ".join(map(str, leaves)) for leaves in listed]
+    lines = (" ".join(map(str, leaves)) for leaves in listed)
     _emit_report(args, {}, result, [], lines)
     return 0
 

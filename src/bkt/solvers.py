@@ -14,7 +14,6 @@ witness, comes from `winprob`.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +53,11 @@ class SolveRequest:
             raise ParameterError(
                 f"unknown problem {self.problem!r}; expected one of {_PROBLEMS}"
             )
+        takes = {"PTFP": "q", "RTFP": "c", "RPTFP": "qs"}.get(self.problem, "")
+        for bound in "qcs":
+            if bound not in takes and getattr(self, bound) is not None:
+                raise ParameterError(f"{self.problem} takes no bound {bound}, "
+                                     f"got {bound}={getattr(self, bound)!r}")
         if self.mode not in ("auto", "exact", "heuristic"):
             raise ParameterError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "player", _check_player(self.matrix, self.player))
@@ -71,15 +75,11 @@ class SolveRequest:
 
     @property
     def wp_target(self) -> float:
-        return 1.0 if self.problem in ("TFP", "RTFP") else self.q
+        return 1.0 if self.q is None else self.q
 
     @property
     def drop_bound(self) -> float | None:
-        if self.problem == "RTFP":
-            return self.c
-        if self.problem == "RPTFP":
-            return self.s
-        return None
+        return self.s if self.c is None else self.c
 
 
 @dataclass(frozen=True)
@@ -185,22 +185,19 @@ def _neighbourhood_size(size: int) -> int:
     return sum(math.comb(size >> k, 2) for k in range(size.bit_length() - 1))
 
 
-@functools.cache
 def _swaps(size: int) -> np.ndarray:
     """Leaf index rows of every swap of two equal aligned blocks.
 
     Block sizes rise, then the pairs of blocks go in lexicographic order.
     """
     out = []
-    b = 1
-    while b <= size // 2:
-        for x in range(0, size, b):
-            for y in range(x + b, size, b):
-                idx = list(range(size))
-                idx[x:x + b], idx[y:y + b] = idx[y:y + b], idx[x:x + b]
-                out.append(idx)
-        b *= 2
-    return np.array(out, dtype=np.intp)
+    for b in (1 << k for k in range(size.bit_length() - 1)):
+        x, y = np.triu_indices(size // b, 1)
+        rows = np.tile(np.arange(size, dtype=np.intp).reshape(-1, b), (len(x), 1, 1))
+        at, pair = np.arange(len(x))[:, None], np.stack([x, y], axis=1)
+        rows[at, pair] = rows[at, pair[:, ::-1]]
+        out.append(rows.reshape(len(x), size))
+    return np.concatenate(out)
 
 
 def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult:
@@ -210,16 +207,15 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
         raise ScaleError(f"a heuristic search of {size} players examines {step} draws a step, "
                          f"more than its budget of {DRAW_BUDGET}")
     _check_memory((step * size * 8 - 1).bit_length(), f"the {step} swaps of {size} players")
-    # every examined draw, as a key into the columns of one score table
-    # (primary, secondary), which doubles whenever it fills
-    seen: dict[bytes, int] = {}
-    table = np.empty((2, 1024))
+    swaps = _swaps(size)
+    # every examined draw's key, with its (primary, secondary) score packed
+    # into 16 bytes
+    seen: dict[bytes, bytes] = {}
 
     def visit(rows):
-        """(the table column of each canonical row, None), or (None, (draw, wp,
-        s)) of the first ok row.  The rows not seen before are scored in one
-        batch, up to the first ok one, and remembered."""
-        nonlocal table
+        """(the (2, k) scores of the k canonical rows, None), or (None, (draw,
+        wp, s)) of the first ok row.  The rows not seen before are scored in
+        one batch, up to the first ok one, and remembered."""
         keys = _row_keys(rows)
         fresh = {}  # each unseen key at its first row
         for k, key in enumerate(keys):
@@ -227,16 +223,10 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
                 fresh.setdefault(key, k)
         at = list(fresh.values())
         scores, hit = _scores(req, rows[at])
-        lo, hi = len(seen), len(seen) + scores.shape[1]
-        if hi > table.shape[1]:
-            grown = np.empty((2, max(hi, 2 * table.shape[1])))
-            grown[:, :lo] = table[:, :lo]
-            table = grown
-        table[:, lo:hi] = scores
-        seen.update(zip(fresh, range(lo, hi)))
+        seen.update(zip(fresh, scores.T.copy().view(np.dtype((np.void, 16))).ravel().tolist()))
         if hit is not None:
-            return None, (Draw(tuple(rows[at[hi - lo - 1]].tolist())), *hit)
-        return [seen[key] for key in keys], None
+            return None, (Draw(tuple(rows[at[scores.shape[1] - 1]].tolist())), *hit)
+        return np.frombuffer(b"".join(map(seen.__getitem__, keys))).reshape(-1, 2).T, None
 
     # a small instance can run out of draws to examine before its restarts
     every = count_draws(req.matrix.n) if size <= EXACT_LIMIT else math.inf
@@ -251,11 +241,11 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
         # the start is a neighbourhood of one row, which the climb always takes
         rows, cur_score = _canon_rows(start[None]), None
         while True:
-            cols, hit = visit(rows)
+            scores, hit = visit(rows)
             if hit:
                 return SolveResult(True, *hit, len(seen), False)
             # the first neighbour with the largest (primary, secondary) score
-            primary, secondary = table[:, cols]
+            primary, secondary = scores
             top = primary == primary.max()
             top &= secondary == secondary[top].max()
             k = int(np.argmax(top))
@@ -265,7 +255,7 @@ def _solve_heuristic(req: SolveRequest, restarts: int, seed: int) -> SolveResult
             cur, cur_score = rows[k].copy(), score
             if len(seen) >= DRAW_BUDGET:
                 return SolveResult(False, None, None, None, len(seen), False, budget_spent=True)
-            rows = _canon_rows(cur[_swaps(size)])
+            rows = _canon_rows(cur[swaps])
     return SolveResult(False, None, None, None, len(seen), False)
 
 

@@ -227,6 +227,8 @@ class ReachTable:
 
     def probability(self, level: int, index: int, player: int) -> float:
         """Probability that `player` labels the node; 0 for players elsewhere."""
+        player = _check_integer(player, 1, len(self.leaves),
+                                f"player must be an integer in 1..{len(self.leaves)}")
         return self.distribution(level, index).get(player, 0.0)
 
     def root_distribution(self) -> np.ndarray:

@@ -34,6 +34,7 @@ from bkt.draws import _canon_rows
 from bkt.solvers import _row_keys, _scores, _swaps, _verify_witness
 from bkt.winprob import _player_reach, _slopes
 from helpers import (
+    _reference_neighbors,
     random_deterministic,
     random_matrix,
     reference_best_draw,
@@ -116,6 +117,24 @@ def test_thresholds_and_bounds_follow_one_real_number_rule(problem, field, m, gi
     for good, want in ((np.float64(0.25), 0.25), (np.int64(1), 1.0), (0, 0.0)):
         got = getattr(SolveRequest(problem, m, 1, **given, **{field: good}), field)
         assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("problem, m, given, extra", [
+    ("TFP", gen_hard(2), {}, {"c": 1.0}),
+    ("TFP", gen_hard(2), {}, {"q": 1.0}),
+    ("RTFP", gen_hard(2), {"c": 1.0}, {"s": 1.0}),
+    ("PTFP", all_even(4), {"q": 0.2}, {"s": 0.0}),
+    ("PTFP", all_even(4), {"q": 0.2}, {"c": 0.0}),
+    ("RPTFP", all_even(4), {"q": 0.2, "s": 0.0}, {"c": 0.0}),
+])
+def test_request_refuses_a_bound_its_problem_does_not_take(problem, m, given, extra):
+    # a dropped bound answers another question: PTFP with q = 0.2 is yes on
+    # all_even(4), RPTFP with q = 0.2 and s = 0 is no
+    SolveRequest(problem, m, 1, **given)
+    ((bound, value),) = extra.items()
+    with pytest.raises(ParameterError) as err:
+        SolveRequest(problem, m, 1, **given, **extra)
+    assert str(err.value) == f"{problem} takes no bound {bound}, got {bound}={value!r}"
 
 
 def test_request_rejects_unknown_mode():
@@ -284,6 +303,14 @@ def test_neighbourhood_size_counts_the_swaps():
         [len(_swaps(1 << n)) for n in range(1, 6)]
     assert [solvers._neighbourhood_size(1 << n) for n in range(7, 11)] == \
         [10_795, 43_435, 174_251, 698_027]
+
+
+def test_swaps_are_the_block_swaps_in_order():
+    for n in range(1, 8):
+        rows = _swaps(1 << n)
+        assert rows.dtype == np.intp
+        assert list(map(tuple, rows.tolist())) == \
+            list(_reference_neighbors(tuple(range(1 << n))))
 
 
 def test_heuristic_witness_meets_conditions():
@@ -664,6 +691,32 @@ def test_heuristic_search_remembers_a_draw_in_a_few_hundred_bytes():
         tracemalloc.stop()
     assert res.verdict == "not-found" and res.draws_examined > 5000
     assert peak - step <= 240 * res.draws_examined
+
+
+def test_heuristic_search_keeps_nothing_once_it_returns():
+    # a fresh interpreter, so that no earlier test's search or table is held
+    code = """
+import gc, tracemalloc
+import numpy as np
+from bkt import SolveRequest, solve
+from helpers import random_matrix
+req = SolveRequest("PTFP", random_matrix(np.random.default_rng(32), 32, interior=True), 1,
+                   q=1.0, mode="heuristic")
+tracemalloc.start()
+gc.collect()
+before, _ = tracemalloc.get_traced_memory()
+res = solve(req, restarts=1)
+gc.collect()
+after, _ = tracemalloc.get_traced_memory()
+print(res.verdict, res.draws_examined, after - before)
+"""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    verdict, draws, held = out.stdout.split()
+    assert verdict == "not-found" and int(draws) > 5000
+    assert int(held) <= 32 << 10
 
 
 def test_search_imports_numpy_random_only_for_a_random_restart():

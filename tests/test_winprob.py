@@ -356,6 +356,14 @@ def test_reach_table_refuses_a_node_outside_the_tree(node):
     assert t.probability(1, 1, 1) == 0.0 and t.probability(2, 0, 3) == 0.0
 
 
+@pytest.mark.parametrize("player", [True, 1.0, np.float64(2.0), 99, 5, 0, -1, "x", None])
+def test_reach_table_refuses_a_player_that_is_not_a_player(player):
+    t = reach_table(gen_hard(2), (1, 2, 3, 4))
+    with pytest.raises(ParameterError, match=r"player must be an integer in 1\.\.4"):
+        t.probability(2, 0, player)
+    assert t.probability(2, 0, np.int64(1)) == 1.0 and t.probability(1, 1, np.int8(1)) == 0.0
+
+
 def test_reach_table_uses_the_literal_tree():
     rng = np.random.default_rng(57)
     m = random_matrix(rng, 4)
