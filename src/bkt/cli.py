@@ -10,6 +10,7 @@ not-found, 2 error, a usage error too ({"error": {"kind", "message"}}).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ import re
 import sys
 from json import detect_encoding
 from pathlib import Path
+from typing import NoReturn
 
 # bkt makes no BLAS call, yet numpy's OpenBLAS starts a thread pool on
 # import whose idle threads spin and burn CPU.  Load it with one thread
@@ -461,7 +463,23 @@ def _cmd_draws(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ParameterError, once
-    argparse's usage and error lines are on stderr, in place of its exit."""
+    argparse's usage and error lines are on stderr, in place of its exit.
+
+    A parser given fill is empty until it first parses: fill(parser) then
+    adds its arguments.  argparse parses with a command's parser only once
+    it has chosen that command, so a job builds its own command's arguments
+    and none of the others'.
+    """
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -470,95 +488,124 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--pretty", action="store_true",
-                        help="human-readable output instead of JSON")
-    # the inputs of a command that scores one player in one draw
-    scored = _Parser(add_help=False, parents=[common])
-    scored.add_argument("--matrix", required=True)
-    scored.add_argument("--draw", required=True)
-    scored.add_argument("--player", type=int, required=True)
-
     p = _Parser(prog="bkt", description="balanced knockout tournament toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
+    sub.add_parser("gen", help="generate a comparison matrix",
+                   fill=_choices("family", _family_args,
+                                 "hard", "unbalanced", "bigsmall", "threetier"))
+    sub.add_parser("perturb", fill=_perturb_args,
+                   help="push 0/1 entries eps into the interior")
+    sub.add_parser("winprob", fill=_winprob_args,
+                   help="winning probability of every player under a draw")
+    sub.add_parser("drop", fill=_drop_args,
+                   help="sensitivity report and first-order adversarial damage")
+    sub.add_parser("crucial", fill=_crucial_args,
+                   help="matches whose lone flip dethrones the winner")
+    sub.add_parser("solve", help="draw-fixing problems",
+                   fill=_choices("problem", _problem_args, "tfp", "ptfp", "rtfp", "rptfp"))
+    sub.add_parser("oracle", help="independent brute-force cross-checks",
+                   fill=_choices("quantity", _quantity_args, "wp", "drop"))
+    sub.add_parser("draws", help="canonical draw classes",
+                   fill=_choices("action", _action_args, "count", "list"))
+    return p
 
-    g = sub.add_parser("gen", help="generate a comparison matrix")
-    gs = g.add_subparsers(dest="family", required=True)
-    for fam in ("hard", "unbalanced", "bigsmall", "threetier"):
-        fp = gs.add_parser(fam, parents=[common])
-        fp.add_argument("n", type=int, help="round count of the construction")
-        if fam == "bigsmall":
-            fp.add_argument("--p", type=float, required=True,
-                            help="big-beats-small probability, in (0.5, 1)")
-        if fam == "threetier":
-            fp.add_argument("--eps", type=float, required=True,
-                            help="tier imbalance, in (0, 0.5)")
-        fp.set_defaults(func=_cmd_gen)
 
-    pe = sub.add_parser("perturb", parents=[common],
-                        help="push 0/1 entries eps into the interior")
+def _choices(dest: str, fill, *names):
+    """The fill of a parser whose required subcommand, stored in dest, is one
+    of names; fill(parser, name) adds the arguments of each."""
+    def add(parser) -> None:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name in names:
+            sub.add_parser(name, fill=functools.partial(fill, name=name))
+    return add
+
+
+def _pretty_arg(p) -> None:
+    p.add_argument("--pretty", action="store_true",
+                   help="human-readable output instead of JSON")
+
+
+def _scored_args(p) -> None:
+    """The arguments of a command that scores one player in one draw."""
+    _pretty_arg(p)
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--draw", required=True)
+    p.add_argument("--player", type=int, required=True)
+
+
+def _family_args(fp, name: str) -> None:
+    _pretty_arg(fp)
+    fp.add_argument("n", type=int, help="round count of the construction")
+    if name == "bigsmall":
+        fp.add_argument("--p", type=float, required=True,
+                        help="big-beats-small probability, in (0.5, 1)")
+    if name == "threetier":
+        fp.add_argument("--eps", type=float, required=True,
+                        help="tier imbalance, in (0, 0.5)")
+    fp.set_defaults(func=_cmd_gen)
+
+
+def _perturb_args(pe) -> None:
+    _pretty_arg(pe)
     pe.add_argument("--matrix", required=True)
     pe.add_argument("--eps", type=float, required=True)
     pe.set_defaults(func=_cmd_perturb)
 
-    wp = sub.add_parser("winprob", parents=[common],
-                        help="winning probability of every player under a draw")
+
+def _winprob_args(wp) -> None:
+    _pretty_arg(wp)
     wp.add_argument("--matrix", required=True)
     wp.add_argument("--draw", required=True)
     wp.add_argument("--player", type=int)
     wp.set_defaults(func=_cmd_winprob)
 
-    dr = sub.add_parser("drop", parents=[scored],
-                        help="sensitivity report and first-order adversarial damage")
+
+def _drop_args(dr) -> None:
+    _scored_args(dr)
     dr.add_argument("--eps", type=float)
     dr.add_argument("--witness", action="store_true",
                     help="include a realizing perturbed matrix (needs eps <= xi)")
     dr.set_defaults(func=_cmd_drop)
 
-    cr = sub.add_parser("crucial", parents=[scored],
-                        help="matches whose lone flip dethrones the winner")
+
+def _crucial_args(cr) -> None:
+    _scored_args(cr)
     cr.add_argument("--oracle", action="store_true",
                     help="use the quadratic replay oracle instead")
     cr.set_defaults(func=_cmd_crucial)
 
-    so = sub.add_parser("solve", help="draw-fixing problems")
-    ss = so.add_subparsers(dest="problem", required=True)
-    for prob in ("tfp", "ptfp", "rtfp", "rptfp"):
-        sp = ss.add_parser(prob, parents=[common])
-        sp.add_argument("--matrix", required=True)
-        sp.add_argument("--player", type=int, required=True)
-        if prob in ("ptfp", "rptfp"):
-            sp.add_argument("--q", type=float, required=True,
-                            help="winning-probability threshold")
-        if prob == "rtfp":
-            sp.add_argument("--c", type=float, required=True, help="drop bound")
-        if prob == "rptfp":
-            sp.add_argument("--s", type=float, required=True, help="drop bound")
-        sp.add_argument("--heuristic", action="store_true",
-                        help="force the local search even on small instances")
-        sp.add_argument("--restarts", type=int, default=10)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(func=_cmd_solve)
 
-    orc = sub.add_parser("oracle", help="independent brute-force cross-checks")
-    os_ = orc.add_subparsers(dest="quantity", required=True)
-    for qty in ("wp", "drop"):
-        op = os_.add_parser(qty, parents=[scored])
-        if qty == "drop":
-            op.add_argument("--eps", type=float, required=True)
-        op.set_defaults(func=_cmd_oracle)
+def _problem_args(sp, name: str) -> None:
+    _pretty_arg(sp)
+    sp.add_argument("--matrix", required=True)
+    sp.add_argument("--player", type=int, required=True)
+    if name in ("ptfp", "rptfp"):
+        sp.add_argument("--q", type=float, required=True,
+                        help="winning-probability threshold")
+    if name == "rtfp":
+        sp.add_argument("--c", type=float, required=True, help="drop bound")
+    if name == "rptfp":
+        sp.add_argument("--s", type=float, required=True, help="drop bound")
+    sp.add_argument("--heuristic", action="store_true",
+                    help="force the local search even on small instances")
+    sp.add_argument("--restarts", type=int, default=10)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(func=_cmd_solve)
 
-    dw = sub.add_parser("draws", help="canonical draw classes")
-    ds = dw.add_subparsers(dest="action", required=True)
-    dc = ds.add_parser("count", parents=[common])
-    dc.add_argument("n", type=int)
-    dc.set_defaults(func=_cmd_draws)
-    dl = ds.add_parser("list", parents=[common])
-    dl.add_argument("n", type=int)
-    dl.add_argument("--limit", type=int)
-    dl.set_defaults(func=_cmd_draws)
 
-    return p
+def _quantity_args(op, name: str) -> None:
+    _scored_args(op)
+    if name == "drop":
+        op.add_argument("--eps", type=float, required=True)
+    op.set_defaults(func=_cmd_oracle)
+
+
+def _action_args(dp, name: str) -> None:
+    _pretty_arg(dp)
+    dp.add_argument("n", type=int)
+    if name == "list":
+        dp.add_argument("--limit", type=int)
+    dp.set_defaults(func=_cmd_draws)
 
 
 def _print_error(kind: str, message: str) -> int:
@@ -575,7 +622,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe must surface here, not at exit
         return code
     except BrokenPipeError:
-        # the reader went away: send the interpreter's final flush nowhere
+        # the reader went away: send what stdout still buffers nowhere, so
+        # that run's flush, or the interpreter's at exit, cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except MemoryError as e:  # numpy raises a private subclass; name the base
@@ -584,5 +632,26 @@ def main(argv=None) -> int:
         return _print_error(type(e).__name__, str(e))
 
 
+def run() -> NoReturn:
+    """The process entry: main on the process's arguments, then, once stdout
+    and stderr are flushed, the end of the process with main's code.
+
+    It skips the interpreter's teardown of every loaded module, which writes
+    no output and took 14-16 ms a job on a 2-CPU host.  Only a normal return
+    from main ends the process here: an exception that escapes main (a bug,
+    or KeyboardInterrupt) gets Python's traceback and a normal shutdown.  main
+    flushes stdout only on success, so an error document and argparse's usage
+    lines are flushed here; a reader gone by then makes the exit code 2.
+    """
+    code = main()
+    # a stream is None where its descriptor was closed when Python started
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

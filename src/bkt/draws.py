@@ -140,7 +140,11 @@ def _canonical_sequences(players: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All canonical leaf sequences over a set of distinct nonnegative
     labels, lexicographically, and lazily: the first comes at once."""
     first, *rest = sorted(players)
-    return _sequences(first, sum(1 << p for p in rest), len(players))
+    # set byte by byte, as a sum of 1 << p takes time quadratic in N
+    pool = bytearray(rest[-1] // 8 + 1 if rest else 0)
+    for p in rest:
+        pool[p >> 3] |= 1 << (p & 7)
+    return _sequences(first, int.from_bytes(pool, "little"), len(players))
 
 
 def _sequences(first: int, pool: int, k: int) -> Iterator[tuple[int, ...]]:

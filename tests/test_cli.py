@@ -653,6 +653,83 @@ def test_closed_stdout_exits_without_traceback():
     assert "Traceback" not in err
 
 
+def process_env():
+    """src_env with stdout block-buffered, as a shell gives it to a command
+    writing to a file or a pipe."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.fixture(scope="module")
+def entry_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("entry")
+    rng = np.random.default_rng(31)
+    return {
+        "H2": write_json(root / "hard2.json", gen_hard(2).to_json_dict()),
+        "I4": write_json(root / "ident4.json", {"leaves": [1, 2, 3, 4]}),
+        "H16": write_json(root / "hard16.json", gen_hard(4).to_json_dict()),
+        "R16": write_json(root / "r16.json", random_matrix(rng, 16, interior=True).to_json_dict()),
+        "R128": write_json(root / "r128.json",
+                           random_matrix(rng, 128, interior=True).to_json_dict()),
+        "D128": write_json(root / "d128.json", {"leaves": list(range(1, 129))}),
+    }
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "ptfp", "--matrix", "R16", "--player", "1", "--q", "0", "--heuristic"], 0),
+    (["solve", "tfp", "--matrix", "H16", "--player", "2", "--heuristic", "--restarts", "2"], 1),
+    # a result of more than 8 192 values, written by orjson
+    (["drop", "--matrix", "R128", "--draw", "D128", "--player", "1", "--eps", "0.001",
+      "--witness"], 0),
+    (["gen", "hard", "8"], 0),  # 256 players, written in chunks of rows
+    (["winprob", "--matrix", "H2", "--draw", "I4", "--pretty"], 0),
+    (["solve", "rtfp", "--matrix", "H2", "--player", "1"], 2),  # a usage error
+    (["crucial", "--matrix", "H2", "--draw", "I4", "--player", "2"], 2),  # NotWinner
+], ids=["solve-found", "solve-not-found", "drop-witness-128", "gen-hard-8", "pretty",
+        "usage-error", "bkt-error"])
+def test_the_process_entry_prints_what_main_prints(capfdbinary, entry_inputs, argv, code):
+    argv = [entry_inputs.get(a, a) for a in argv]
+    assert main(argv) == code
+    out, err = capfdbinary.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "bkt.cli", *argv], capture_output=True,
+                          env=process_env(), timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == out
+    assert proc.stderr == err  # argparse's usage lines too, on a usage error
+
+
+def test_the_process_entry_exits_2_when_the_reader_leaves_before_its_flush():
+    # main returns with an error document still buffered; run's flush meets
+    # the closed pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bkt.cli", "draws", "count", "x"],
+                              stdout=write, stderr=subprocess.PIPE, env=process_env(),
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().startswith("usage: bkt draws count")
+    assert "Traceback" not in proc.stderr.decode()
+
+
+def test_an_exception_escaping_main_gets_a_traceback_and_a_normal_exit():
+    script = ("import bkt.cli\n"
+              "def fail(argv=None):\n"
+              "    print('written before')\n"
+              "    raise RuntimeError('raised in main')\n"
+              "bkt.cli.main = fail\n"
+              "bkt.cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=process_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == "written before\n"
+    assert "Traceback" in proc.stderr
+    assert proc.stderr.endswith("RuntimeError: raised in main\n")
+
+
 # --------------------------------------------------------------------- oracle
 
 
@@ -1251,13 +1328,13 @@ def test_declared_entry_point_runs_without_install():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts.get("bkt") == "bkt.cli:main"
+    assert scripts.get("bkt") == "bkt.cli:run"
     ep = EntryPoint(name="bkt", value=scripts["bkt"], group="console_scripts")
-    assert ep.load() is main
+    assert ep.load() is bkt.cli.run
     # the same call the generated console-script wrapper makes
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys; from bkt.cli import main; sys.exit(main())",
+         "import sys; from bkt.cli import run; sys.exit(run())",
          "draws", "count", "3"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
